@@ -12,10 +12,9 @@ Usage:
 Env: RAY_GRAFT_CPUS (default 32), GRAFT_SF_DIR (default
 /root/testdata/sf0.1; only its sf suffix is used to size the synthetic
 corpus — scale = sf*SCALE_PER_SF), FSST_BENCH_SCALE (explicit scale
-override), FSST_BENCH_REPS (best-of-N for the graded headline stages,
-default 2), FSST_BENCH_STAGES=headline|all, FSST_SCALING_LO (N of the
-N-vs-4N scaling legs, default 4). Exchange knobs honored downstream:
-FSST_ROUTE_ACK, FSST_ENCODE_WRITERS, FSST_READ_BLOCK_MB.
+override), FSST_BENCH_REPS (best-of-N for both stages, default 2),
+FSST_SCALING_LO (N of the N-vs-4N scaling legs, default 4). The one
+exchange setting honored downstream is FSST_ROUTE_ACK=auto|full|window.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ def run_bench() -> dict:
     ctx.enable_progress_bars = False
     ctx.execution_options.verbose_progress = False
 
-    from fsst_ray import decode_dataset, encode_dataset, verify_roundtrip
+    from fsst_ray import decode_dataset, encode_dataset
     from fsst_ray.sources.tokens import ensure_tokens_parquet
     from fsst_ray.stages.decoder import dataset_checksum
     import ray.data as rd
@@ -83,10 +82,6 @@ def run_bench() -> dict:
     ds = read_parquet_bundled(path)
     total_tokens = int(ds.sum("n_tok"))
 
-    # headline stages always run; the streaming stages are skipped when
-    # FSST_BENCH_STAGES=headline (the --scaling runs: fewer /dev/shm +
-    # object-store leftovers polluting the timed stages)
-    stages = os.environ.get("FSST_BENCH_STAGES", "all")
     queries: dict[str, float] = {}
     scratch = "/dev/shm" if os.path.isdir("/dev/shm") else "/tmp"
     out_root = tempfile.mkdtemp(prefix="bench_", dir=scratch)
@@ -102,7 +97,6 @@ def run_bench() -> dict:
             result = encode_dataset(
                 ds,
                 enc_dir,
-                mode="bucketed",
                 chunk_tokens=1 << 19,
                 bucket_tokens=1 << 22,  # ~4M tokens/bucket: >=2 tasks per core at sf0.1
                 input_path=path,  # pruned pass 1: mass/sample reads skip token bytes
@@ -114,17 +108,6 @@ def run_bench() -> dict:
             if rep < reps - 1:
                 shutil.rmtree(enc_dir, ignore_errors=True)
 
-        if stages == "all":
-            t0 = time.perf_counter()
-            encode_dataset(
-                ds,
-                f"{out_root}/streaming",
-                mode="streaming",
-                chunk_tokens=1 << 19,
-                input_path=path,
-            )
-            queries["encode_streaming"] = time.perf_counter() - t0
-
         enc_dir = f"{out_root}/bucketed{reps - 1}"
         for rep in range(reps):
             t0 = time.perf_counter()
@@ -132,17 +115,11 @@ def run_bench() -> dict:
             dt = time.perf_counter() - t0
             queries["decode_verify"] = min(dt, queries.get("decode_verify", float("inf")))
             assert check["tokens"] == total_tokens, "decode token count mismatch"
-
-        if stages == "all":
-            t0 = time.perf_counter()
-            v = verify_roundtrip(ds, f"{out_root}/streaming")
-            assert v["match"], v
-            queries["roundtrip_verify_streaming"] = time.perf_counter() - t0
     finally:
         shutil.rmtree(out_root, ignore_errors=True)
 
     headline = queries["encode_bucketed"] + queries["decode_verify"]
-    out = {
+    return {
         "metric": "encode+decode wall time (synthetic tokens corpus)",
         "value": round(headline, 3),
         "unit": "sec",
@@ -156,11 +133,6 @@ def run_bench() -> dict:
         "compression_ratio": round(metrics.get("compression_ratio", 0.0), 3),
         "encode_timings": metrics.get("timings", {}),
     }
-    if "encode_streaming" in queries:
-        out["streaming_tokens_per_sec"] = round(
-            total_tokens / queries["encode_streaming"]
-        )
-    return out
 
 
 def _ceiling_work(q, dur: float):
@@ -285,11 +257,8 @@ def run_scaling() -> dict:
         # scaling runs use a much larger corpus (~4.2B tokens) so fixed
         # per-stage latencies do not dominate the 8-cpu leg (same input
         # at both levels; this is the configuration recorded in
-        # BASELINE.md — expect ~15-20 min total). Only the headline
-        # stages run: the streaming stages would leave ~8 GB of extra
-        # /dev/shm output polluting the timed stages.
+        # BASELINE.md — expect ~15-20 min total).
         env.setdefault("FSST_BENCH_SCALE", "2400")
-        env.setdefault("FSST_BENCH_STAGES", "headline")
         # best-of-2 per leg (criterion-style, the bench's own default
         # and the r2-recorded protocol): single-shot legs on this VM
         # swing ±40% with healthy probes (r4: hi-leg encode measured

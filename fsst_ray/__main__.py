@@ -1,6 +1,6 @@
 """CLI: encode / decode / verify a tokens corpus.
 
-    python -m fsst_ray encode  --input DIR --output DIR [--mode bucketed]
+    python -m fsst_ray encode  --input DIR --output DIR
                                [--chunk-tokens N] [--bucket-tokens N] [--resume]
                                [--append]   # incremental ingest into --output
                                [--upsert]   # replace-or-insert into --output
@@ -75,8 +75,6 @@ def main(argv=None):
     parser.add_argument("--input", help="input parquet dir (tokens schema) / encoded dir")
     parser.add_argument("--output", help="output dir")
     parser.add_argument("--encoded", help="encoded dir (verify/stats)")
-    parser.add_argument("--mode", default="bucketed",
-                        choices=["bucketed", "bucketed_groupby", "streaming"])
     parser.add_argument("--chunk-tokens", type=int, default=1 << 19)
     parser.add_argument("--bucket-tokens", type=int, default=16 << 20)
     parser.add_argument("--resume", action="store_true")
@@ -167,7 +165,6 @@ def main(argv=None):
                 result = encode_dataset(
                     ds,
                     args.output,
-                    mode=args.mode,
                     chunk_tokens=args.chunk_tokens,
                     bucket_tokens=args.bucket_tokens,
                     resume=args.resume,

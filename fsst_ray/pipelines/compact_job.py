@@ -271,6 +271,8 @@ def compact_corpus(out_dir: str, target_bytes: int = 512 << 20) -> dict:
     import ray.data as rd
 
     _, bucket_plan, _, config = mf.load_plan(out_dir)
+    # guards corpora on disk: earlier versions could also write the
+    # retired groupby and streaming modes
     assert config["mode"] in ("bucketed", "bucketed_groupby"), (
         "compaction requires a bucketed corpus (streaming outputs have no "
         "per-bucket manifest entries to merge)"

@@ -7,14 +7,12 @@ proportional to source token mass), shuffle once on part_key, encode
 each bucket into ~chunk_tokens-sized auto-selected codec chunks, write
 one atomic parquet file + manifest entry per bucket.
 
-At 100 TB: the only all-to-all exchange is the pass-2 bucket exchange
-(default: a direct hash exchange onto per-bucket writer actors;
-"bucketed_groupby" keeps the declarative Dataset groupby expression);
-the small side (symbol tables, ~2.3 KB/source) is broadcast via the
-plan / object store; no stage materializes the dataset. "streaming"
-mode skips the exchange entirely (chunks follow input block
-boundaries) for maximum throughput when balanced, resumable per-bucket
-output files don't matter.
+At 100 TB: the only all-to-all exchange is the pass-2 bucket exchange,
+a direct hash exchange onto per-bucket writer actors; the small side
+(symbol tables, ~2.3 KB/source) is broadcast via the plan / object
+store; no stage materializes the dataset. Per-bucket files and
+manifest entries are what make an encode resumable, appendable and
+compactable.
 """
 
 from __future__ import annotations
@@ -49,67 +47,15 @@ def _corpus_bytes(input_path: str) -> int:
     return sum(f.stat().st_size for f in p.glob("**/*.parquet"))
 
 
-MANIFEST_ROW_SCHEMA = pa.schema(
-    [
-        ("part_key", pa.string()),
-        ("chunks", pa.int64()),
-        ("rows", pa.int64()),
-        ("tokens", pa.int64()),
-        ("bytes_in", pa.int64()),
-        ("bytes_out", pa.int64()),
-        ("codec_names", pa.list_(pa.string())),
-        ("codec_counts", pa.list_(pa.int64())),
-    ]
-)
-
-
 @dataclass
 class EncodeResult:
     out_dir: str
     metrics: dict = field(default_factory=dict)
     bucket_plan: dict = field(default_factory=dict)
-    mode: str = "bucketed"
 
     @property
     def chunks_path(self) -> str:
         return str(mf.chunks_dir(self.out_dir))
-
-
-def _write_bucket_file(chunks: pa.Table, out_dir: str) -> dict:
-    """Write one bucket's encoded chunk rows atomically + manifest entry."""
-    import pyarrow.parquet as pq
-
-    part_key = chunks["part_key"][0].as_py()
-    chunks = chunks.set_column(
-        chunks.schema.get_field_index("chunk_seq"),
-        "chunk_seq",
-        pa.array(np.arange(chunks.num_rows, dtype=np.int32), type=pa.int32()),
-    )
-    cdir = mf.chunks_dir(out_dir)
-    cdir.mkdir(parents=True, exist_ok=True)
-    fname = cdir / f"{mf.sanitize_part(part_key)}.parquet"
-    tmp = fname.with_suffix(f".{os.getpid()}.tmp")
-    pq.write_table(chunks, tmp, compression="none")  # payloads are already compressed
-    os.replace(tmp, fname)
-
-    codec_hist: dict[str, int] = {}
-    for c in chunks["codec"].to_pylist():
-        codec_hist[c] = codec_hist.get(c, 0) + 1
-    entry = {
-        "part_key": part_key,
-        "status": "done",
-        "chunks": chunks.num_rows,
-        "rows": int(pa.compute.sum(chunks["n_rows"]).as_py() or 0),
-        "tokens": int(pa.compute.sum(chunks["n_values"]).as_py() or 0),
-        "bytes_in": int(pa.compute.sum(chunks["bytes_in"]).as_py() or 0),
-        "bytes_out": int(pa.compute.sum(chunks["bytes_out"]).as_py() or 0),
-        "codecs": codec_hist,
-        "file": fname.name,
-    }
-    mm = pa.compute.min_max(pa.compute.list_flatten(chunks["doc_id"]))
-    entry["doc_min"], entry["doc_max"] = mm["min"].as_py(), mm["max"].as_py()
-    mf.write_part_entry(out_dir, entry)
-    return entry
 
 
 def _narrow_tokens(sub: pa.Table) -> pa.Table:
@@ -120,9 +66,7 @@ def _narrow_tokens(sub: pa.Table) -> pa.Table:
     one copy route-side. The list structure is untouched, so the
     writer's zero-copy slicing/compaction machinery is oblivious; the
     writer widens back to int32 at flush, so encoded output is
-    bit-identical. Disable with FSST_EXCHANGE_PACK=0."""
-    if os.environ.get("FSST_EXCHANGE_PACK", "1") != "1":
-        return sub
+    bit-identical."""
     import pyarrow.compute as pc
 
     idx = sub.schema.get_field_index("tokens")
@@ -161,52 +105,6 @@ def _widen_tokens(rows: pa.Table) -> pa.Table:
 
     return rows.set_column(
         idx, "tokens", pc.cast(rows["tokens"], pa.list_(pa.int32()))
-    )
-
-
-def _sort_validate_unique(rows: pa.Table, part_key: str) -> pa.Table:
-    """Sort rows by doc_id (deterministic chunking regardless of arrival
-    order) and enforce the input precondition that doc_id is unique —
-    a duplicate here means either duplicated input rows or a delivery
-    bug, and silently dropping either would corrupt the round-trip."""
-    doc_ids = rows["doc_id"].to_numpy(zero_copy_only=False)
-    order = np.argsort(doc_ids, kind="stable")
-    sd = doc_ids[order]
-    dup = sd[1:] == sd[:-1]
-    if dup.any():
-        raise ValueError(
-            f"duplicate doc_id rows in bucket {part_key}: "
-            f"{np.unique(sd[1:][dup])[:5].tolist()} "
-            "(input precondition: doc_id must be unique per row)"
-        )
-    return rows.take(pa.array(order))
-
-
-def _encode_part(
-    rows: pa.Table, out_dir: str, states, chunk_tokens: int, codecs
-) -> dict:
-    """Reduce-side encode of one bucket (bucketed_groupby path)."""
-    part_key = rows["part_key"][0].as_py()
-    rows = _sort_validate_unique(rows, part_key)
-    chunks = encode_rows_to_chunks(rows, states, part_key, chunk_tokens, codecs)
-    return _write_bucket_file(chunks, out_dir)
-
-
-def _write_part_group(group: pa.Table, *, out_dir, states, chunk_tokens, codecs) -> pa.Table:
-    """groupby-reduce wrapper around _encode_part (bucketed_groupby)."""
-    entry = _encode_part(group, out_dir, states, chunk_tokens, codecs)
-    return pa.table(
-        {
-            "part_key": [entry["part_key"]],
-            "chunks": [entry["chunks"]],
-            "rows": [entry["rows"]],
-            "tokens": [entry["tokens"]],
-            "bytes_in": [entry["bytes_in"]],
-            "bytes_out": [entry["bytes_out"]],
-            "codec_names": [list(entry["codecs"])],
-            "codec_counts": [list(entry["codecs"].values())],
-        },
-        schema=MANIFEST_ROW_SCHEMA,
     )
 
 
@@ -474,30 +372,21 @@ class _BucketWriter:
         return {"add": self.t_add, "encode": self.t_encode, "write": self.t_write}
 
 
-def _make_streaming_encoder(states_ref, chunk_tokens, codecs):
-    """Stateless task encoder for mode="streaming": no shuffle, no actor
-    ramp-up; the states dict rides the object store (ray.put once) and
-    is fetched zero-copy per task."""
-
-    def encode_batch(batch: pa.Table) -> pa.Table:
-        import ray
-
-        states = ray.get(states_ref)
-        return encode_rows_to_chunks(batch, states, None, chunk_tokens, codecs)
-
-    return encode_batch
+# send acknowledgement policies a route task may run under (FSST_ROUTE_ACK)
+_ROUTE_ACK_POLICIES = ("auto", "full", "window")
+# "window": sends a route task may leave unacknowledged when it returns
+# (in-flight routed bytes per task = window x sub-batch bytes)
+_ROUTE_ACK_WINDOW = 4
 
 
 def encode_dataset(
     ds,
     out_dir: str,
     *,
-    mode: str = "bucketed",
     chunk_tokens: int = 1 << 19,
     bucket_tokens: int = 16 << 20,
     codecs: tuple[str, ...] = DEFAULT_CODECS,
     resume: bool = False,
-    encode_concurrency: int | None = None,
     writer_flush_tokens: int | None = None,
     writer_budget_tokens: int | None = None,
     input_path: str | None = None,
@@ -517,21 +406,42 @@ def encode_dataset(
     """
     import ray
 
+    # send acknowledgement policy:
+    #   full   — each route task ray.gets every send: strictest
+    #            in-flight bound (~concurrent blocks) and the
+    #            simplest delivery guarantee.
+    #   window — wait for all-but-_ROUTE_ACK_WINDOW sends: kills the
+    #            convoy where every task waits on its round's slowest
+    #            writer; measured 1.7x faster at 4 CPUs (where few
+    #            concurrent tasks make the convoy bite), equal at 16-32.
+    #            Relies on the driver-side drain poll before finalize; a
+    #            worker dying after task completion is detected by the
+    #            poll timing out -> rerun with resume.
+    #   auto (default) — window at <=8 CPUs; full above, where the two
+    #            measure equal and the bounded-in-flight posture wins.
+    # Checked before any task starts: an unknown value must not
+    # silently turn per-task acknowledgement off.
+    route_ack = os.environ.get("FSST_ROUTE_ACK", "auto")
+    if route_ack not in _ROUTE_ACK_POLICIES:
+        raise ValueError(
+            f"FSST_ROUTE_ACK={route_ack!r}: expected one of "
+            f"{', '.join(_ROUTE_ACK_POLICIES)}"
+        )
+
+    # "mode" stays in the persisted config so plans saved by earlier
+    # versions still pass the resume equality check
     config = {
-        "mode": mode,
+        "mode": "bucketed",
         "chunk_tokens": chunk_tokens,
         "bucket_tokens": bucket_tokens,
         "codecs": list(codecs),
     }
-
-    import time
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     if _plan is not None:
         # caller-managed plan (append_dataset): states/buckets decided
         # and persisted by the caller; keys namespaced by _key_tag
-        assert mode in ("bucketed", "bucketed_groupby"), "plan override needs buckets"
         states, bucket_plan, mass = _plan
     elif resume and mf.plan_path(out_dir).exists():
         from .compact_job import has_compaction
@@ -563,34 +473,6 @@ def encode_dataset(
         mf.save_plan(out_dir, states, bucket_plan, mass, config)
     timings["pass1_train"] = time.perf_counter() - t0
 
-    if mode == "streaming":
-        states_ref = ray.put(states)
-        encoded = ds.map_batches(
-            _make_streaming_encoder(states_ref, chunk_tokens, codecs),
-            batch_format="pyarrow",
-            batch_size=None,  # whole blocks: chunk sizing is token-driven
-        )
-        cdir = mf.chunks_dir(out_dir)
-        cdir.mkdir(parents=True, exist_ok=True)
-        # streaming chunks follow input block boundaries, so a partial
-        # previous run is not resumable per-file: clear stale outputs
-        # (else write_parquet's uniquely-named files would duplicate rows)
-        for stale in list(cdir.glob("*.parquet")) + list(cdir.glob("*.tmp")):
-            stale.unlink()
-        if mf.manifest_dir(out_dir).exists():
-            for stale in mf.manifest_dir(out_dir).glob("*.json"):
-                stale.unlink()
-        encoded.write_parquet(str(cdir), compression="none")
-        timings["pass2_encode"] = time.perf_counter() - t0 - timings["pass1_train"]
-        entries = _entries_from_chunks(str(cdir))
-        for entry in entries.values():
-            mf.write_part_entry(out_dir, entry)
-        mf.compact_manifest(out_dir)
-        metrics = mf.summarize(entries)
-        metrics["timings"] = {k: round(v, 3) for k, v in timings.items()}
-        return EncodeResult(out_dir, metrics, bucket_plan, mode)
-
-    assert mode in ("bucketed", "bucketed_groupby"), f"unknown mode {mode}"
     done = mf.completed_parts(out_dir) if resume else set()
     if mf.chunks_dir(out_dir).exists():
         for stale in mf.chunks_dir(out_dir).glob("*.tmp"):
@@ -611,170 +493,127 @@ def encode_dataset(
 
         keyed = keyed.map_batches(drop_done, batch_format="pyarrow")
 
-    if mode == "bucketed_groupby":
-        # Dataset-native keyed exchange (sort shuffle); slower on one
-        # node than the actor exchange below but fully declarative.
-        manifest_rows = keyed.groupby("part_key").map_groups(
-            lambda g: _write_part_group(
-                g, out_dir=out_dir, states=states, chunk_tokens=chunk_tokens, codecs=codecs
-            ),
-            batch_format="pyarrow",
+    # custom hash exchange: push each bucket's raw rows directly to its
+    # writer actor (no sort); writers encode + write incrementally;
+    # delivery verified by per-bucket row counts
+    import zlib
+
+    cluster_cpus = int(ray.cluster_resources().get("CPU", 8))
+    # cpus//2: writers encode concurrently with the (cheap) routing map
+    # tasks; a full-cpus pool only adds actor ramp-up and scheduler
+    # contention (measured at sf0.1 and scale 2400)
+    n_writers = max(2, cluster_cpus // 2)
+    if route_ack == "auto":
+        route_ack = "window" if cluster_cpus <= 8 else "full"
+    # read driver-side and captured by the route closure: workers
+    # started before the test set the env would not see it
+    fault_dir = os.environ.get("FSST_FAULT_ROUTE_ONCE_DIR")
+    # Writers encode+write parquet incrementally inside add(), so they
+    # DO burn CPU — but declaring it (num_cpus=1) would let the cpus//2
+    # writer pool reserve half the task slots and starve the routing map
+    # stage; measured best config is an unreserved pool (num_cpus=0)
+    # sized to cpus//2 so routing and encoding overlap.
+    writer_pool = [
+        ray.remote(num_cpus=0)(_BucketWriter).remote(
+            out_dir,
+            states,
+            chunk_tokens,
+            codecs,
+            writer_flush_tokens,
+            writer_budget_tokens,
         )
-        manifest_rows.to_pandas()  # tiny: one row per bucket
-    else:
-        # custom hash exchange: push each bucket's raw rows directly to
-        # its writer actor (no sort); writers encode + write at
-        # finalize; delivery verified by per-bucket row counts
-        import zlib
+        for _ in range(n_writers)
+    ]
 
-        # cpus//2: writers encode concurrently with the (cheap) routing
-        # map tasks; a full-cpus pool only adds actor ramp-up and
-        # scheduler contention (measured at sf0.1 and scale 2400)
-        n_writers = (
-            encode_concurrency
-            or int(os.environ.get("FSST_ENCODE_WRITERS", "0"))
-            or max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
+    def route(batch: pa.Table) -> pa.Table:
+        import polars as pl
+
+        keys = batch["part_key"].to_numpy(zero_copy_only=False)
+        # crc32 once per unique part_key, not per row
+        uniq, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        uniq_wid = np.array(
+            [zlib.crc32(k.encode()) % n_writers for k in uniq], dtype=np.int64
         )
-        # send acknowledgement policy:
-        #   full   — each route task ray.gets every send: strictest
-        #            in-flight bound (~concurrent blocks) and the
-        #            simplest delivery guarantee. Default above 8 CPUs:
-        #            there it measures equal to window within VM noise,
-        #            and bounded in-flight routed bytes is the
-        #            conservative posture for cluster-scale runs.
-        #   window — wait for all-but-K sends: kills the convoy where
-        #            every task waits on its round's slowest writer;
-        #            measured 1.7x faster at 4 CPUs (where few
-        #            concurrent tasks make the convoy bite), equal at
-        #            16-32; undelivered sends bounded to K per block
-        #   none   — no per-task wait at all; in-flight bounded only by
-        #            the object store (spills under backlog)
-        # window/none rely on the driver-side drain poll before
-        # finalize; a worker dying after task completion is detected by
-        # the poll timing out -> rerun with resume.
-        # auto (default): window at low parallelism — the full-ack
-        # convoy (every route task waiting on its round's slowest
-        # writer) costs ~1.7x at 4 CPUs where few concurrent tasks
-        # hide it, while at 16-32 CPUs the two policies measure equal,
-        # so the conservative bounded-in-flight posture is kept there
-        route_ack = os.environ.get("FSST_ROUTE_ACK", "auto")
-        if route_ack == "auto":
-            cluster_cpus = int(ray.cluster_resources().get("CPU", 8))
-            route_ack = "window" if cluster_cpus <= 8 else "full"
-        ack_window = int(os.environ.get("FSST_ROUTE_ACK_WINDOW", "4"))
-        # read driver-side and captured by the route closure: workers
-        # started before the test set the env would not see it
-        fault_dir = os.environ.get("FSST_FAULT_ROUTE_ONCE_DIR")
-        # Writers encode+write parquet incrementally inside add(), so
-        # they DO burn CPU — but on a single node, declaring it
-        # (num_cpus=1) would let the cpus//2 writer pool reserve half
-        # the task slots and starve the routing map stage; measured
-        # best single-node config is an unreserved pool (num_cpus=0)
-        # sized to cpus//2 so routing and encoding overlap. On a
-        # multi-node cluster set FSST_WRITER_NUM_CPUS (e.g. 1) so the
-        # scheduler accounts for writer CPU and spreads actors.
-        writer_cpus = float(os.environ.get("FSST_WRITER_NUM_CPUS", "0"))
-        writer_pool = [
-            ray.remote(num_cpus=writer_cpus)(_BucketWriter).remote(
-                out_dir,
-                states,
-                chunk_tokens,
-                codecs,
-                writer_flush_tokens,
-                writer_budget_tokens,
-            )
-            for _ in range(n_writers)
-        ]
+        wid = uniq_wid[inv]
+        # content-addressed send ids: a retried task resends byte-
+        # identical sub-batches, so the writer can drop duplicates
+        doc_col = batch["doc_id"]
+        if isinstance(doc_col, pa.ChunkedArray):
+            doc_col = doc_col.combine_chunks()
+        doc_hash = pl.from_arrow(doc_col).hash(seed=11).to_numpy().astype(np.uint64)
+        # one gather sorted by (writer, part_key): per-writer
+        # sub-tables are contiguous slices whose parts are adjacent
+        # runs, so the (serial) writer never gathers
+        order = np.lexsort((keys, wid))
+        sorted_batch = batch.take(pa.array(order))
+        swid = wid[order]
+        shash = doc_hash[order]
+        wb = np.concatenate(
+            [[0], np.flatnonzero(swid[1:] != swid[:-1]) + 1, [len(swid)]]
+        )
+        refs = []
+        for g in range(len(wb) - 1):
+            lo, hi = int(wb[g]), int(wb[g + 1])
+            sub = _narrow_tokens(sorted_batch.slice(lo, hi - lo))
+            send_id = (int(shash[lo:hi].sum(dtype=np.uint64)), hi - lo)
+            refs.append(writer_pool[int(swid[lo])].add.remote(sub, send_id))
+        # fault injection (tests only): after the sends are in
+        # flight, kill this worker once — Ray reruns the task, the
+        # retry resends everything, and the writers' send-id dedup
+        # must absorb the duplicates
+        if fault_dir:
+            import pathlib
 
-        def route(batch: pa.Table) -> pa.Table:
-            import polars as pl
-
-            keys = batch["part_key"].to_numpy(zero_copy_only=False)
-            # crc32 once per unique part_key, not per row
-            uniq, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
-            uniq_wid = np.array(
-                [zlib.crc32(k.encode()) % n_writers for k in uniq], dtype=np.int64
+            flag = pathlib.Path(fault_dir) / "route_killed"
+            try:
+                flag.touch(exist_ok=False)
+                os._exit(1)  # simulated worker death (not an exception)
+            except FileExistsError:
+                pass
+        if route_ack == "full":
+            ray.get(refs)
+        elif len(refs) > _ROUTE_ACK_WINDOW:
+            ray.wait(
+                refs, num_returns=len(refs) - _ROUTE_ACK_WINDOW, fetch_local=False
             )
-            wid = uniq_wid[inv]
-            # content-addressed send ids: a retried task resends byte-
-            # identical sub-batches, so the writer can drop duplicates
-            doc_col = batch["doc_id"]
-            if isinstance(doc_col, pa.ChunkedArray):
-                doc_col = doc_col.combine_chunks()
-            doc_hash = pl.from_arrow(doc_col).hash(seed=11).to_numpy().astype(np.uint64)
-            # one gather sorted by (writer, part_key): per-writer
-            # sub-tables are contiguous slices whose parts are adjacent
-            # runs, so the (serial) writer never gathers
-            order = np.lexsort((keys, wid))
-            sorted_batch = batch.take(pa.array(order))
-            swid = wid[order]
-            shash = doc_hash[order]
-            wb = np.concatenate(
-                [[0], np.flatnonzero(swid[1:] != swid[:-1]) + 1, [len(swid)]]
-            )
-            refs = []
-            for g in range(len(wb) - 1):
-                lo, hi = int(wb[g]), int(wb[g + 1])
-                sub = _narrow_tokens(sorted_batch.slice(lo, hi - lo))
-                send_id = (int(shash[lo:hi].sum(dtype=np.uint64)), hi - lo)
-                refs.append(writer_pool[int(swid[lo])].add.remote(sub, send_id))
-            # fault injection (tests only): after the sends are in
-            # flight, kill this worker once — Ray reruns the task, the
-            # retry resends everything, and the writers' send-id dedup
-            # must absorb the duplicates
-            if fault_dir:
-                import pathlib
+        # remaining sends drain in the background; the driver polls
+        # writer received-row counts before finalize
+        return pa.table(
+            {
+                "part_key": pa.array(uniq, type=pa.string()),
+                "n_rows": pa.array(counts, type=pa.int64()),
+            }
+        )
 
-                flag = pathlib.Path(fault_dir) / "route_killed"
-                try:
-                    flag.touch(exist_ok=False)
-                    os._exit(1)  # simulated worker death (not an exception)
-                except FileExistsError:
-                    pass
-            if route_ack == "full":
-                ray.get(refs)
-            elif route_ack == "window" and len(refs) > ack_window:
-                ray.wait(
-                    refs, num_returns=len(refs) - ack_window, fetch_local=False
+    count_rows = keyed.map_batches(
+        route, batch_format="pyarrow", batch_size=None
+    ).take_all()
+    expected: dict[str, int] = {}
+    for r in count_rows:
+        expected[r["part_key"]] = expected.get(r["part_key"], 0) + int(r["n_rows"])
+    if route_ack != "full":
+        total_routed = sum(expected.values())
+        deadline = time.perf_counter() + 300.0
+        while True:
+            got = sum(ray.get([w.received_rows.remote() for w in writer_pool]))
+            if got >= total_routed:
+                break
+            if time.perf_counter() > deadline:
+                raise RuntimeError(
+                    f"exchange drain timed out: writers received {got} of "
+                    f"{total_routed} routed rows (a routing worker may have "
+                    "died after task completion — rerun with resume=True)"
                 )
-            # remaining sends drain in the background; the driver polls
-            # writer received-row counts before finalize
-            return pa.table(
-                {
-                    "part_key": pa.array(uniq, type=pa.string()),
-                    "n_rows": pa.array(counts, type=pa.int64()),
-                }
-            )
-
-        count_rows = keyed.map_batches(
-            route, batch_format="pyarrow", batch_size=None
-        ).take_all()
-        expected: dict[str, int] = {}
-        for r in count_rows:
-            expected[r["part_key"]] = expected.get(r["part_key"], 0) + int(r["n_rows"])
-        if route_ack != "full":
-            total_routed = sum(expected.values())
-            deadline = time.perf_counter() + 300.0
-            while True:
-                got = sum(ray.get([w.received_rows.remote() for w in writer_pool]))
-                if got >= total_routed:
-                    break
-                if time.perf_counter() > deadline:
-                    raise RuntimeError(
-                        f"exchange drain timed out: writers received {got} of "
-                        f"{total_routed} routed rows (a routing worker may have "
-                        "died after task completion — rerun with resume=True)"
-                    )
-                time.sleep(0.05)
-        for entries_list in ray.get([w.finalize.remote(expected) for w in writer_pool]):
-            del entries_list  # entries are persisted in the manifest dir
-        wt = ray.get([w.timing.remote() for w in writer_pool])
-        timings["writer_add_max"] = round(max(t["add"] for t in wt), 3)
-        timings["writer_encode_max"] = round(max(t["encode"] for t in wt), 3)
-        timings["writer_write_max"] = round(max(t["write"] for t in wt), 3)
-        timings["writer_encode_sum"] = round(sum(t["encode"] for t in wt), 3)
-        for w in writer_pool:
-            ray.kill(w)
+            time.sleep(0.05)
+    # entries are persisted in the manifest dir by each writer
+    ray.get([w.finalize.remote(expected) for w in writer_pool])
+    wt = ray.get([w.timing.remote() for w in writer_pool])
+    timings["writer_add_max"] = round(max(t["add"] for t in wt), 3)
+    timings["writer_encode_max"] = round(max(t["encode"] for t in wt), 3)
+    timings["writer_write_max"] = round(max(t["write"] for t in wt), 3)
+    timings["writer_encode_sum"] = round(sum(t["encode"] for t in wt), 3)
+    for w in writer_pool:
+        ray.kill(w)
 
     timings["pass2_encode"] = time.perf_counter() - t0 - timings["pass1_train"]
 
@@ -785,7 +624,7 @@ def encode_dataset(
     entries = mf.load_manifest(out_dir)
     metrics = mf.summarize(entries)
     metrics["timings"] = {k: round(v, 3) for k, v in timings.items()}
-    return EncodeResult(out_dir, metrics, bucket_plan, mode)
+    return EncodeResult(out_dir, metrics, bucket_plan)
 
 
 def _append_plan_path(out_dir: str, gen: int):
@@ -826,8 +665,8 @@ def append_dataset(
       never touched and the manifest overlay makes decode / verify /
       select / stats see the union corpus with no extra step.
 
-    Preconditions: the base encode completed (plan.json exists) in a
-    bucketed mode, and doc_id stays unique across the WHOLE corpus
+    Preconditions: the base encode completed (plan.json exists), and
+    doc_id stays unique across the WHOLE corpus
     (old + appended) — it is the retry/resume identity. A crashed
     append resumes with resume=True (the same skip-completed-parts
     machinery as encode, scoped to this generation's tagged keys);
@@ -836,6 +675,8 @@ def append_dataset(
     import json
 
     base_states, _, _, config = mf.load_plan(out_dir)
+    # guards corpora on disk: earlier versions could also write the
+    # retired groupby and streaming modes
     assert config["mode"] in ("bucketed", "bucketed_groupby"), (
         "append requires a bucketed base encode (streaming-mode outputs "
         "are not resumable/extensible per-bucket)"
@@ -883,7 +724,6 @@ def append_dataset(
     result = encode_dataset(
         ds,
         out_dir,
-        mode=config["mode"],
         chunk_tokens=config["chunk_tokens"],
         bucket_tokens=config["bucket_tokens"],
         codecs=tuple(config["codecs"]),
@@ -898,43 +738,3 @@ def append_dataset(
     )
     result.metrics["generation"] = gen
     return result
-
-
-def _entries_from_chunks(chunks_path: str) -> dict[str, dict]:
-    """Build manifest entries by scanning chunk files (streaming mode)."""
-    import pyarrow.parquet as pq
-    import pathlib
-
-    entries: dict[str, dict] = {}
-    for f in sorted(pathlib.Path(chunks_path).glob("*.parquet")):
-        t = pq.read_table(
-            f, columns=["part_key", "codec", "n_rows", "n_values", "bytes_in", "bytes_out"]
-        )
-        for part_key in set(t["part_key"].to_pylist()):
-            sel = t.filter(pa.compute.equal(t["part_key"], part_key))
-            hist: dict[str, int] = {}
-            for c in sel["codec"].to_pylist():
-                hist[c] = hist.get(c, 0) + 1
-            entry = entries.setdefault(
-                part_key,
-                {
-                    "part_key": part_key,
-                    "status": "done",
-                    "chunks": 0,
-                    "rows": 0,
-                    "tokens": 0,
-                    "bytes_in": 0,
-                    "bytes_out": 0,
-                    "codecs": {},
-                    "file": f.name,
-                },
-            )
-            entry["chunks"] += sel.num_rows
-            entry["rows"] += int(pa.compute.sum(sel["n_rows"]).as_py() or 0)
-            entry["tokens"] += int(pa.compute.sum(sel["n_values"]).as_py() or 0)
-            entry["bytes_in"] += int(pa.compute.sum(sel["bytes_in"]).as_py() or 0)
-            entry["bytes_out"] += int(pa.compute.sum(sel["bytes_out"]).as_py() or 0)
-            for c, n in hist.items():
-                entry["codecs"][c] = entry["codecs"].get(c, 0) + n
-    return entries
-

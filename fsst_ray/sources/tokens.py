@@ -198,6 +198,11 @@ def _write_chunk_job(args) -> None:
     )
 
 
+# target bytes per read task: smaller explodes the task count on corpora
+# of many files, larger starves pipelining and inflates per-task memory
+READ_BLOCK_BYTES = 256 << 20
+
+
 def read_parquet_bundled(
     path: str | list[str], columns: list[str] | None = None, **read_kwargs
 ):
@@ -223,8 +228,7 @@ def read_parquet_bundled(
         files += [p] if p.is_file() else sorted(p.glob("**/*.parquet"))
     nbytes = sum(f.stat().st_size for f in files)
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    per_block = int(os.environ.get("FSST_READ_BLOCK_MB", "256")) << 20
-    blocks = max(2 * cpus, -(-nbytes // per_block))
+    blocks = max(2 * cpus, -(-nbytes // READ_BLOCK_BYTES))
     return rd.read_parquet(
         path,
         file_extensions=["parquet"],

@@ -65,17 +65,15 @@ def encode_rows_to_chunks(
     part_key: str | None,
     chunk_tokens: int,
     codecs: tuple[str, ...],
-    group_col: str | None = None,
     sort_keys: np.ndarray | None = None,
 ) -> pa.Table:
     """Encode a run of rows into encoded-chunk rows.
 
-    Rows are grouped by `group_col` when given (map-side bucketing:
-    each part_key run becomes its own chunks), else by source; an
-    explicit `part_key` labels all output (already-grouped input).
-    `sort_keys` orders rows within each group (e.g. doc_id for
-    deterministic chunking) without a physical table sort — the chunk
-    gather below copies the values once either way.
+    Rows are grouped by source; an explicit `part_key` labels all
+    output (already-grouped input), else each source's chunks are keyed
+    `{source}:-0001`. `sort_keys` orders rows within each group (e.g.
+    doc_id for deterministic chunking) without a physical table sort —
+    the chunk gather below copies the values once either way.
     """
     values, offsets = tokens_views(batch)
     sources = batch["source"].to_numpy(zero_copy_only=False)
@@ -87,28 +85,20 @@ def encode_rows_to_chunks(
         _doc_col = pc.cast(_doc_col, pa.string())
     doc_ids = _doc_col.to_numpy(zero_copy_only=False)
     n_tok = (offsets[1:] - offsets[:-1]).astype(np.int32)
-    group_keys = (
-        batch[group_col].to_numpy(zero_copy_only=False) if group_col is not None else sources
-    )
 
     out = {name: [] for name in ENCODED_CHUNK_SCHEMA.names}
     if sort_keys is not None:
-        order = np.lexsort((sort_keys, group_keys))
+        order = np.lexsort((sort_keys, sources))
     else:
-        order = np.argsort(group_keys, kind="stable")
-    sorted_keys = group_keys[order]
-    boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+        order = np.argsort(sources, kind="stable")
+    sorted_sources = sources[order]
+    boundaries = np.flatnonzero(sorted_sources[1:] != sorted_sources[:-1]) + 1
     group_starts = np.concatenate([[0], boundaries, [len(sources)]])
     for g in range(len(group_starts) - 1):
         idx = order[group_starts[g] : group_starts[g + 1]]
         source = sources[idx[0]]
         state = states.get(source)
-        if part_key is not None:
-            key = part_key
-        elif group_col is not None:
-            key = sorted_keys[group_starts[g]]
-        else:
-            key = f"{source}:-0001"
+        key = part_key if part_key is not None else f"{source}:-0001"
         # chunk rows so each chunk holds ~chunk_tokens tokens
         row_tok = n_tok[idx].astype(np.int64)
         cum = np.cumsum(row_tok)

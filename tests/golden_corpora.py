@@ -8,9 +8,20 @@ RNGs only — no wall clock anywhere.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 REFERENCE_FIXTURES = "/root/reference/tests/fixtures"
+# copies of the two reference text fixtures, rebuilt byte-exactly by
+# decoding every compressed line of tests/golden/<name>.json
+VENDORED_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def _fixture_lines(name: str) -> list[bytes]:
+    root = REFERENCE_FIXTURES if os.path.isdir(REFERENCE_FIXTURES) else VENDORED_FIXTURES
+    with open(os.path.join(root, name), "rb") as f:
+        return f.read().split(b"\n")
 
 
 def _tok_bytes(arr) -> bytes:
@@ -20,13 +31,11 @@ def _tok_bytes(arr) -> bytes:
 def corpus_declaration() -> list[bytes]:
     # reference fixture (public-domain text), split on newlines like the
     # file_compressor example does
-    with open(f"{REFERENCE_FIXTURES}/declaration.txt", "rb") as f:
-        return f.read().split(b"\n")
+    return _fixture_lines("declaration.txt")
 
 
 def corpus_art_of_war() -> list[bytes]:
-    with open(f"{REFERENCE_FIXTURES}/art_of_war.txt", "rb") as f:
-        return f.read().split(b"\n")
+    return _fixture_lines("art_of_war.txt")
 
 
 def corpus_zipf_tokens() -> list[bytes]:

@@ -3162,6 +3162,31 @@ def test_props_rollup_single_group_many_partitions(ray_session):
     assert out.iloc[0]["max_val"] == 39
 
 
+def test_props_rollup_sum_exact_above_2_pow_53(ray_session):
+    """Per-group sums of values above 2**53 are exact int64 sums — a
+    float64 accumulator rounds 2**53 + 1 to 2**53."""
+    import ray.data as rd
+
+    from fsst_ray.functions.jsonx import props_int_rollup
+
+    big = 2**53 + 1
+    vals = {"a": [big, big, 3], "b": [big + 2, -1]}
+    rows = [(g, v) for g, vs in vals.items() for v in vs]
+    t = pa.table(
+        {
+            "grp": pa.array([g for g, _ in rows], pa.string()),
+            "props": pa.array(['{"k": %d}' % v for _, v in rows], pa.string()),
+        }
+    )
+    # two blocks: both the map-side partials and the final Sum see
+    # values above 2**53
+    blocks = [t.take([0, 3]), t.take([1, 2, 4])]
+    out = props_int_rollup(rd.from_arrow(blocks), "grp", "props", "$.k").to_pandas()
+    got = {r["grp"]: int(r["sum_val"]) for _, r in out.iterrows()}
+    assert got == {g: sum(vs) for g, vs in vals.items()}
+    assert float(sum(vals["a"])) != sum(vals["a"])  # float64 could not hold it
+
+
 def test_bigram_lm_score_hand_case_and_partition_invariance(ray_session):
     import ray.data as rd
 

@@ -1,5 +1,5 @@
 """End-to-end Ray pipeline tests: encode -> decode -> per-row equality,
-skew bucketing, resume, streaming mode."""
+skew bucketing, resume, exchange delivery guards."""
 
 from __future__ import annotations
 
@@ -54,16 +54,6 @@ def test_encode_decode_bucketed(tokens_ds, tmp_path):
     assert _sorted_rows(dec_tbl) == _sorted_rows(original)
 
     # checksum verify agrees
-    v = verify_roundtrip(tokens_ds, out)
-    assert v["match"], v
-
-
-def test_encode_streaming_mode(tokens_ds, tmp_path):
-    out = str(tmp_path / "enc_stream")
-    result = encode_dataset(
-        tokens_ds, out, mode="streaming", chunk_tokens=1 << 16
-    )
-    assert result.metrics["rows"] == tokens_ds.count()
     v = verify_roundtrip(tokens_ds, out)
     assert v["match"], v
 
@@ -127,17 +117,6 @@ def test_checksum_detects_corruption(tokens_ds):
         tokens_ds.map_batches(corrupt, batch_format="pyarrow")
     )
     assert a["rows"] == b["rows"] and a["checksum"] != b["checksum"]
-
-
-def test_encode_bucketed_groupby_mode(tokens_ds, tmp_path):
-    out = str(tmp_path / "enc_gb")
-    result = encode_dataset(
-        tokens_ds, out, mode="bucketed_groupby",
-        chunk_tokens=1 << 14, bucket_tokens=1 << 15,
-    )
-    assert result.metrics["rows"] == tokens_ds.count()
-    v = verify_roundtrip(tokens_ds, out)
-    assert v["match"], v
 
 
 def test_incremental_flush_roundtrip(tokens_ds, tmp_path):
@@ -424,6 +403,18 @@ def test_route_worker_death_retry_dedup(tokens_ds, tmp_path, monkeypatch):
     monkeypatch.delenv("FSST_FAULT_ROUTE_ONCE_DIR")
     v = verify_roundtrip(tokens_ds, out)
     assert v["match"], v
+
+
+@pytest.mark.parametrize("policy", ["none", "windw"])
+def test_route_ack_rejects_unknown_policy(tokens_ds, tmp_path, monkeypatch, policy):
+    """An FSST_ROUTE_ACK value other than auto/full/window (the retired
+    benchmark-only "none", or a typo) must raise before any task runs,
+    not silently drop per-task acknowledgement."""
+    monkeypatch.setenv("FSST_ROUTE_ACK", policy)
+    out = tmp_path / "enc_ack"
+    with pytest.raises(ValueError, match="FSST_ROUTE_ACK"):
+        encode_dataset(tokens_ds, str(out), chunk_tokens=1 << 14, bucket_tokens=1 << 15)
+    assert not out.exists()  # pass 1 never ran: no plan was written
 
 
 def test_read_parquet_bundled_path_list_include_paths(ray_session, tmp_path):

@@ -146,7 +146,6 @@ def main() -> None:
         result = encode_dataset(
             ds,
             enc_dir,
-            mode="bucketed",
             chunk_tokens=1 << 19,
             bucket_tokens=1 << 22,
             input_path=path,

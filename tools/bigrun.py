@@ -172,7 +172,6 @@ def main() -> None:
         enc = encode_dataset(
             ds,
             f"{out_root}/encoded",
-            mode="bucketed",
             chunk_tokens=1 << 19,
             bucket_tokens=1 << 24,  # 16M tokens/bucket: ~1500 parts at 25B
         )
