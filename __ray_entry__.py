@@ -2293,7 +2293,7 @@ def _q_encode_metrics(sf_dir: str):
 def queries() -> dict[str, Callable[[str], Any]]:
     # ORDER MATTERS: the driver gate verifies roughly the first 50
     # entries per round (CORRECTNESS_r04 covered exactly positions
-    # 0-49). Every query below has an oracle and ALL 88 are checked
+    # 0-49). Every query below has an oracle and ALL 119 are checked
     # value-exactly by tests/test_queries_oracle.py each run; the dict
     # order only decides which ones get a driver row this round.
     # Block 1: the 22 queries with no driver row in any prior round

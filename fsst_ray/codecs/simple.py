@@ -1,6 +1,8 @@
-"""Integer chunk codecs: plain, bit-pack, frame-of-reference, RLE, dict.
+"""Integer chunk codecs: plain, bitpack, for, rle, dict, zigzag, delta,
+vbyte and pfor.
 
-All vectorized numpy; no Python loops over values. These are the
+Bit-packing and vbyte run in the C kernel (kernel/native.py); the rest
+is vectorized numpy, with no Python loops over values. These are the
 [ENGINE] codecs required by the north rule beyond the reference's FSST
 (the reference implements only FSST; see SURVEY.md §2.6).
 """
@@ -11,6 +13,7 @@ import struct
 
 import numpy as np
 
+from ..kernel import native
 from .base import Codec, register
 
 
@@ -21,57 +24,18 @@ def bit_width(max_value: int) -> int:
 
 def pack_bits(values: np.ndarray, width: int) -> bytes:
     """Pack non-negative int64 values into `width`-bit little-endian
-    lanes (C kernel; numpy bits-matrix fallback)."""
+    lanes (C kernel; width <= native.MAX_BIT_WIDTH)."""
     if width == 0 or len(values) == 0:
         return b""
-    from ..kernel import native
-
-    lib = native.get_lib()
-    v = np.ascontiguousarray(values, dtype=np.int64)
-    if lib is not None and width <= 57:
-        import ctypes
-
-        out = np.empty((len(v) * width + 7) // 8, dtype=np.uint8)
-        written = lib.bitpack(
-            v.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-            len(v),
-            width,
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
-        )
-        return out[:written].tobytes()
-    u = v.astype(np.uint64)
-    shifts = np.arange(width, dtype=np.uint64)
-    bits = ((u[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
+    return native.bitpack(values, width)
 
 
 def unpack_bits(data: bytes, n: int, width: int) -> np.ndarray:
-    """Inverse of pack_bits; returns uint64 values."""
+    """Inverse of pack_bits; returns uint64 values. Raises ValueError on
+    a width or body length the payload cannot hold."""
     if width == 0 or n == 0:
         return np.zeros(n, dtype=np.uint64)
-    if len(data) * 8 < n * width:
-        raise ValueError(
-            f"bit-packed body too short: {len(data)} bytes cannot hold "
-            f"{n} values of width {width} (corrupt or truncated chunk)"
-        )
-    from ..kernel import native
-
-    lib = native.get_lib()
-    if lib is not None and width <= 57:
-        import ctypes
-
-        raw = np.frombuffer(data, dtype=np.uint8)
-        out = np.empty(n, dtype=np.int64)
-        lib.bitunpack(
-            raw.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
-            n,
-            width,
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-        )
-        return out.astype(np.uint64, copy=False)
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n * width, bitorder="little")
-    shifts = np.arange(width, dtype=np.uint64)
-    return (bits.reshape(n, width).astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
+    return native.bitunpack(data, n, width).astype(np.uint64, copy=False)
 
 
 class PlainCodec(Codec):
@@ -285,9 +249,7 @@ class VByteCodec(Codec):
     values are small but the max forces a wide fixed lane (a 17-bit
     bitpack lane vs ~10 bits/value here).
 
-    Encode and decode are fully vectorized: byte scatter/gather via the
-    repeat/arange offset trick (no per-value Python), the same shape
-    hash_join uses for its group cross products.
+    Encode and decode run in the C kernel (vbyte_encode/vbyte_decode).
     """
 
     name = "vbyte"
@@ -299,95 +261,15 @@ class VByteCodec(Codec):
             return float("inf")
         return (stats["n"] + 3) // 4 + nbytes
 
-    @staticmethod
-    def _lens(z: np.ndarray) -> np.ndarray:
-        """Data bytes per zigzagged value (uint32 range): 1..4."""
-        return (
-            1
-            + (z >= (1 << 8)).astype(np.int64)
-            + (z >= (1 << 16)).astype(np.int64)
-            + (z >= (1 << 24)).astype(np.int64)
-        )
-
     def encode_values(self, values, state):
-        n = len(values)
-        if n == 0:
+        if len(values) == 0:
             return b""
-        from ..kernel import native
-
-        lib = native.get_lib()
-        if lib is not None:
-            import ctypes
-
-            v = np.ascontiguousarray(values, dtype=np.int32)
-            # worst case: ctrl + 4 B/value, +4 slack for the 4-byte store
-            out = np.empty((n + 3) // 4 + 4 * n + 4, dtype=np.uint8)
-            written = lib.vbyte_encode(
-                v.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)),
-                n,
-                out.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
-            )
-            return out[:written].tobytes()
-        z = zigzag(values.astype(np.int64)).astype(np.uint64)
-        lens = self._lens(z)
-        codes = (lens - 1).astype(np.uint8)
-        pad = (-n) % 4
-        if pad:
-            codes = np.concatenate([codes, np.zeros(pad, dtype=np.uint8)])
-        codes = codes.reshape(-1, 4)
-        ctrl = (
-            codes[:, 0]
-            | (codes[:, 1] << 2)
-            | (codes[:, 2] << 4)
-            | (codes[:, 3] << 6)
-        ).astype(np.uint8)
-        # scatter each value's low `lens` bytes, little-endian
-        byte_mat = z.astype("<u4").view(np.uint8).reshape(n, 4)
-        total = int(lens.sum())
-        starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, lens)
-        rows = np.repeat(np.arange(n, dtype=np.int64), lens)
-        data = byte_mat[rows, within]
-        return ctrl.tobytes() + data.tobytes()
+        return native.vbyte_encode(values)
 
     def decode_values(self, body, n_values):
         if n_values == 0:
             return np.empty(0, dtype=np.int32)
-        from ..kernel import native
-
-        lib = native.get_lib()
-        if lib is not None:
-            import ctypes
-
-            raw = np.frombuffer(body, dtype=np.uint8)
-            out = np.empty(n_values, dtype=np.int32)
-            consumed = lib.vbyte_decode(
-                raw.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
-                len(raw),
-                n_values,
-                out.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)),
-            )
-            if consumed < 0:
-                raise ValueError(
-                    "corrupt chunk: vbyte body shorter than control bytes imply"
-                )
-            return out
-        n_ctrl = (n_values + 3) // 4
-        ctrl = np.frombuffer(body, dtype=np.uint8, count=n_ctrl)
-        shifts = np.array([0, 2, 4, 6], dtype=np.uint8)
-        codes = ((ctrl[:, None] >> shifts) & 3).reshape(-1)[:n_values]
-        lens = codes.astype(np.int64) + 1
-        total = int(lens.sum())
-        if n_ctrl + total > len(body):
-            raise ValueError("corrupt chunk: vbyte body shorter than control bytes imply")
-        data = np.frombuffer(body, dtype=np.uint8, count=total, offset=n_ctrl)
-        starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, lens)
-        rows = np.repeat(np.arange(n_values, dtype=np.int64), lens)
-        byte_mat = np.zeros((n_values, 4), dtype=np.uint8)
-        byte_mat[rows, within] = data
-        z = byte_mat.view("<u4").reshape(n_values).astype(np.uint64)
-        return unzigzag(z).astype(np.int32)
+        return native.vbyte_decode(body, n_values)
 
 
 class PforCodec(Codec):

@@ -219,8 +219,10 @@ def bpe_apply(ds, merges: pa.Table, text_col: str = "text"):
         flat = pc.list_flatten(lists)
         keep = pc.not_equal(flat, "")
         words_np = flat.filter(keep).to_numpy(zero_copy_only=False)
-        # doc index per surviving word
-        sizes = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
+        # doc index per surviving word; a null text has no words
+        sizes = pc.fill_null(pc.list_value_length(lists), 0).to_numpy(
+            zero_copy_only=False
+        )
         doc_idx = np.repeat(np.arange(batch.num_rows), sizes)[
             keep.to_numpy(zero_copy_only=False)
         ]

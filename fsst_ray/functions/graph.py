@@ -356,8 +356,10 @@ def pagerank(
     same bound connected_components carries for in-groups).
 
     Overflow bound: sum of all ranks never exceeds n_nodes * scale
-    (mass is conserved-or-leaked), so any single rank fits int64 iff
-    n_nodes * scale < 2**62 — checked with a loud ValueError.
+    (mass is conserved-or-leaked), and the widest intermediate is
+    rank * damping_num in the contribution, so every product fits int64
+    iff n_nodes * scale * damping_num < 2**63 — checked in Python ints
+    with a loud ValueError.
     """
     if iterations < 1:
         raise ValueError("pagerank: iterations must be >= 1")
@@ -389,10 +391,10 @@ def pagerank(
         ["outdeg"],
     ).materialize()
     n_nodes = nodes.count()
-    if n_nodes * scale >= 1 << 62:
+    if int(n_nodes) * int(scale) * int(damping_num) >= 1 << 63:
         raise ValueError(
-            f"pagerank: n_nodes ({n_nodes}) * scale ({scale}) risks int64 "
-            "overflow; lower scale"
+            f"pagerank: n_nodes ({n_nodes}) * scale ({scale}) * damping_num "
+            f"({damping_num}) risks int64 overflow; lower scale"
         )
     if n_nodes == 0:
         return nodes.map_batches(
@@ -637,9 +639,8 @@ def hop_distance(edges_ds, seeds: list[int], src: str = "src", dst: str = "dst",
         )
         return pa.table({"node": pa.array(np.unique(d).astype(np.int64))})
 
-    for hops in range(1, max_hops + 1):
-        if frontier.count() == 0:
-            break
+    def new_nodes(frontier, settled, hops: int):
+        """Out-neighbors of `frontier` not yet in `settled`, labeled `hops`."""
         tagged = tagged_edges.union(
             frontier.map_batches(tag_frontier, batch_format="pyarrow")
         )
@@ -649,30 +650,31 @@ def hop_distance(edges_ds, seeds: list[int], src: str = "src", dst: str = "dst",
                 expand, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
             )
         )
-        # distinct candidates (blocks may repeat a dst across blocks)
-        this_hops = hops
 
-        def label(batch: pa.Table, h=this_hops) -> pa.Table:
+        def label(batch: pa.Table) -> pa.Table:
             return batch.append_column(
-                "hops", pa.array(np.full(batch.num_rows, h, dtype=np.int64))
+                "hops", pa.array(np.full(batch.num_rows, hops, dtype=np.int64))
             )
 
+        # distinct candidates (blocks may repeat a dst across blocks);
         # round-frontier-sized; materialized so existence_join can read
         # a concrete schema (an all-empty materialized dataset reports
-        # schema None, so the empty round must break BEFORE the join)
+        # schema None, so the empty round must return BEFORE the join)
         cand = _bounded(min_per_key(cand.map_batches(label, batch_format="pyarrow"),
                                     "node", "hops"))
         if cand.count() == 0:
-            frontier = cand
+            return cand
+        return _bounded(existence_join(cand, settled, "node", "node", how="anti"))
+
+    for hops in range(1, max_hops + 1):
+        frontier = new_nodes(frontier, settled, hops)
+        if frontier.count() == 0:
             break
-        fresh = _bounded(existence_join(cand, settled, "node", "node", how="anti"))
-        if fresh.count() == 0:
-            frontier = fresh
-            break
-        settled = _bounded(settled.union(fresh))
-        frontier = fresh
+        settled = _bounded(settled.union(frontier))
     else:
-        if frontier.count() != 0:
+        # the BFS may have finished exactly at max_hops: only an
+        # unsettled node one hop further is an error
+        if new_nodes(frontier, settled, max_hops + 1).count() != 0:
             raise RuntimeError(
                 f"hop_distance: frontier non-empty after max_hops={max_hops}"
             )

@@ -39,12 +39,15 @@ _SCALE = 10**6
 def _bigram_rows(batch: pa.Table, text_col: str):
     """(doc_index, w1, w2) numpy arrays for all adjacent word pairs in
     the batch (split on ' ' verbatim — the string_split parity rule,
-    empties kept)."""
+    empties kept; a null text has no words, as string_split(NULL)
+    unnests to nothing)."""
     col = batch[text_col]
     col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
     lists = pc.split_pattern(col, " ")
     flat = pc.list_flatten(lists).to_numpy(zero_copy_only=False)
-    sizes = pc.list_value_length(lists).to_numpy(zero_copy_only=False).astype(np.int64)
+    sizes = pc.fill_null(pc.list_value_length(lists), 0).to_numpy(
+        zero_copy_only=False
+    ).astype(np.int64)
     doc_of = np.repeat(np.arange(batch.num_rows, dtype=np.int64), sizes)
     if len(flat) < 2:
         e = np.empty(0, dtype=object)

@@ -252,9 +252,6 @@ class Compressor:
             pos += _code_len(code_twobyte)
         return bytes(out)
 
-    def compress_bulk(self, lines) -> list[bytes]:
-        return [self.compress(line) for line in lines]
-
     def decompressor(self) -> "Decompressor":
         return Decompressor(self.symbols, self.lengths)
 

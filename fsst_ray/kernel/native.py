@@ -2,9 +2,11 @@
 
 The shared library is built from fsst_native.c with the system C
 compiler into a content-addressed path under /tmp, so every Ray worker
-process on a node shares one cached build. If no compiler is available
-the caller falls back to the pure-Python oracle in fsst.py (same
-results, much slower).
+process on a node shares one cached build. The C kernel is the engine's
+only implementation of bulk compress/decompress, bit-packing, vbyte and
+row checksums: a failed build or load raises RuntimeError (with the
+compiler's stderr). The pure-Python kernel in fsst.py is kept only as
+the test oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 _SRC = pathlib.Path(__file__).parent / "fsst_native.c"
 _LOCK = threading.Lock()
 _LIB = None
-_LOAD_FAILED = False
 
 
 def _build_and_load():
@@ -30,19 +31,32 @@ def _build_and_load():
     # whole parity/property suite runs under the sanitizers
     override = os.environ.get("FSST_NATIVE_SO")
     if override:
-        return _bind(ctypes.CDLL(override))
+        return _bind(_load(override))
     src = _SRC.read_bytes()
     digest = hashlib.sha256(src).hexdigest()[:16]
     so_path = pathlib.Path(f"/tmp/fsst_ray_native_{digest}.so")
     if not so_path.exists():
         tmp = so_path.with_suffix(f".{os.getpid()}.tmp")
-        subprocess.run(
-            ["cc", "-O3", "-march=native", "-funroll-loops", "-shared", "-fPIC", "-o", str(tmp), str(_SRC)],
-            check=True,
-            capture_output=True,
-        )
+        cmd = ["cc", "-O3", "-march=native", "-funroll-loops", "-shared", "-fPIC",
+               "-o", str(tmp), str(_SRC)]
+        try:
+            res = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as e:
+            raise RuntimeError(f"C kernel build failed: cannot run cc: {e}") from e
+        if res.returncode != 0:
+            raise RuntimeError(
+                f"C kernel build failed (exit {res.returncode}): {' '.join(cmd)}\n"
+                f"{res.stderr}"
+            )
         os.replace(tmp, so_path)  # atomic: concurrent workers race safely
-    return _bind(ctypes.CDLL(str(so_path)))
+    return _bind(_load(str(so_path)))
+
+
+def _load(path: str):
+    try:
+        return ctypes.CDLL(path)
+    except OSError as e:
+        raise RuntimeError(f"C kernel load failed: {path}: {e}") from e
 
 
 def _bind(lib):
@@ -76,16 +90,15 @@ def _bind(lib):
 
 
 def get_lib():
-    """Return the loaded C library, or None if unavailable."""
-    global _LIB, _LOAD_FAILED
-    if _LIB is not None or _LOAD_FAILED:
-        return _LIB
-    with _LOCK:
-        if _LIB is None and not _LOAD_FAILED:
-            try:
+    """Return the loaded C library, building it on first use.
+
+    Raises RuntimeError if it cannot be built or loaded; a failure is not
+    cached, so the next call tries again."""
+    global _LIB
+    if _LIB is None:
+        with _LOCK:
+            if _LIB is None:
                 _LIB = _build_and_load()
-            except Exception:
-                _LOAD_FAILED = True
     return _LIB
 
 
@@ -93,23 +106,80 @@ def _ptr(arr: np.ndarray, ctype):
     return arr.ctypes.data_as(ctypes.POINTER(ctype))
 
 
+# widest bit-pack lane: a lane plus the <8 bits still buffered must fit
+# the kernel's 64-bit accumulator. Engine widths stay <= 34.
+MAX_BIT_WIDTH = 57
+
+
+def bitpack(values: np.ndarray, width: int) -> bytes:
+    """Pack non-negative values into `width`-bit little-endian lanes."""
+    if not 0 < width <= MAX_BIT_WIDTH:
+        raise ValueError(f"bit width {width} outside 1..{MAX_BIT_WIDTH}")
+    v = np.ascontiguousarray(values, dtype=np.int64)
+    out = np.empty((len(v) * width + 7) // 8, dtype=np.uint8)
+    written = get_lib().bitpack(
+        _ptr(v, ctypes.c_int64), len(v), width, _ptr(out, ctypes.c_uint8)
+    )
+    return out[:written].tobytes()
+
+
+def bitunpack(data: bytes, n: int, width: int) -> np.ndarray:
+    """Inverse of bitpack. `width` and `n` come from a payload header, so
+    a value the kernel cannot unpack is a corrupt chunk."""
+    if width > MAX_BIT_WIDTH:
+        raise ValueError(f"corrupt chunk: bit width {width} exceeds {MAX_BIT_WIDTH}")
+    if len(data) * 8 < n * width:
+        raise ValueError(
+            f"bit-packed body too short: {len(data)} bytes cannot hold "
+            f"{n} values of width {width} (corrupt or truncated chunk)"
+        )
+    raw = np.frombuffer(data, dtype=np.uint8)
+    out = np.empty(n, dtype=np.int64)
+    get_lib().bitunpack(_ptr(raw, ctypes.c_uint8), n, width, _ptr(out, ctypes.c_int64))
+    return out
+
+
+def vbyte_encode(values: np.ndarray) -> bytes:
+    """Stream-vbyte encode of zigzagged int32 values."""
+    n = len(values)
+    v = np.ascontiguousarray(values, dtype=np.int32)
+    # worst case: ctrl + 4 B/value, +4 slack for the 4-byte store
+    out = np.empty((n + 3) // 4 + 4 * n + 4, dtype=np.uint8)
+    written = get_lib().vbyte_encode(_ptr(v, ctypes.c_int32), n, _ptr(out, ctypes.c_uint8))
+    return out[:written].tobytes()
+
+
+def vbyte_decode(data: bytes, n: int) -> np.ndarray:
+    """Inverse of vbyte_encode; raises on a body shorter than its
+    control bytes imply."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    out = np.empty(n, dtype=np.int32)
+    consumed = get_lib().vbyte_decode(
+        _ptr(raw, ctypes.c_uint8), len(raw), n, _ptr(out, ctypes.c_int32)
+    )
+    if consumed < 0:
+        raise ValueError("corrupt chunk: vbyte body shorter than control bytes imply")
+    return out
+
+
+def row_checksums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per-row u64 sum of (v + 0x9E3779B97F4A7C15) * (position in row + 1),
+    wrapping; `offsets` (n_rows+1) delimits rows of int32 `values`."""
+    v32 = np.ascontiguousarray(values, dtype=np.int32)
+    off = np.ascontiguousarray(offsets, dtype=np.int64)
+    out = np.empty(len(off) - 1, dtype=np.uint64)
+    get_lib().row_checksums(
+        _ptr(v32, ctypes.c_int32), _ptr(off, ctypes.c_int64), len(out),
+        _ptr(out, ctypes.c_uint64),
+    )
+    return out
+
+
 def compress_bulk(data: np.ndarray, offsets: np.ndarray, comp) -> tuple[np.ndarray, np.ndarray]:
     """Compress rows of `data` (uint8, concatenated; `offsets` int64
     n_rows+1) with a trained fsst.Compressor. Returns (codes, out_offsets).
-
-    Falls back to the Python oracle when the C library is unavailable.
     """
     n_rows = len(offsets) - 1
-    lib = get_lib()
-    if lib is None:
-        payload = bytearray()
-        out_offsets = np.zeros(n_rows + 1, dtype=np.int64)
-        raw = data.tobytes()
-        for r in range(n_rows):
-            payload += comp.compress(raw[offsets[r] : offsets[r + 1]])
-            out_offsets[r + 1] = len(payload)
-        return np.frombuffer(bytes(payload), dtype=np.uint8), out_offsets
-
     data = np.ascontiguousarray(data, dtype=np.uint8)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     total = int(offsets[-1]) - int(offsets[0])
@@ -120,7 +190,7 @@ def compress_bulk(data: np.ndarray, offsets: np.ndarray, comp) -> tuple[np.ndarr
     # lane-slotted worst-case layout: 2 bytes/input byte + 8 per row
     out = np.empty(2 * total + 8 * n_rows + 8, dtype=np.uint8)
     out_offsets = np.empty(n_rows + 1, dtype=np.int64)
-    written = lib.fsst_compress_bulk(
+    written = get_lib().fsst_compress_bulk(
         _ptr(data, ctypes.c_uint8),
         _ptr(offsets, ctypes.c_int64),
         n_rows,
@@ -174,25 +244,8 @@ def decompress_bulk_at(
         offsets = offsets - offsets[0]
     out_offsets = np.ascontiguousarray(out_offsets, dtype=np.int64)
     assert out.dtype == np.uint8 and out.flags["C_CONTIGUOUS"]
-    lib = get_lib()
-    if lib is None:
-        from . import fsst as _fsst
-
-        dec = _fsst.Decompressor(np.asarray(symbols, dtype=np.uint64),
-                                 np.asarray(lengths, dtype=np.uint8))
-        raw = codes.tobytes()
-        for r in range(n_rows):
-            piece = dec.decompress(raw[int(offsets[r]) : int(offsets[r + 1])])
-            lo, hi = int(out_offsets[r]), int(out_offsets[r + 1])
-            if len(piece) != hi - lo:
-                raise ValueError(
-                    "fsst segment decoded to unexpected size (corrupt stream)"
-                )
-            out[lo:hi] = np.frombuffer(piece, dtype=np.uint8)
-        return int(out_offsets[-1] - out_offsets[0]) if n_rows else 0
-
     symbols, lengths = _pad_tables(symbols, lengths)
-    written = lib.fsst_decompress_bulk_at(
+    written = get_lib().fsst_decompress_bulk_at(
         _ptr(codes, ctypes.c_uint8),
         _ptr(offsets, ctypes.c_int64),
         n_rows,
@@ -232,23 +285,6 @@ def decompress_bulk(
         codes = codes[int(offsets[0]) : int(offsets[-1])]
         offsets = offsets - offsets[0]
     total = int(offsets[-1])
-    lib = get_lib()
-    if lib is None:
-        from . import fsst as _fsst
-
-        buf = bytearray()
-        out_offsets = np.zeros(n_rows + 1, dtype=np.int64)
-        dec = _fsst.Decompressor(symbols, lengths)
-        raw = codes.tobytes()
-        for r in range(n_rows):
-            buf += dec.decompress(raw[offsets[r] : offsets[r + 1]])
-            out_offsets[r + 1] = len(buf)
-        decoded = np.frombuffer(bytes(buf), dtype=np.uint8)
-        if out is not None:
-            out[: len(decoded)] = decoded
-            return out[: len(decoded)], out_offsets
-        return decoded, out_offsets
-
     symbols, lengths = _pad_tables(symbols, lengths)
     if out is not None:
         assert out.dtype == np.uint8 and out.flags["C_CONTIGUOUS"]
@@ -257,7 +293,7 @@ def decompress_bulk(
         cap = (decoded_size_hint if decoded_size_hint is not None else 8 * total) + 8
         dest = np.empty(cap, dtype=np.uint8)
     out_offsets = np.empty(n_rows + 1, dtype=np.int64)
-    written = lib.fsst_decompress_bulk(
+    written = get_lib().fsst_decompress_bulk(
         _ptr(codes, ctypes.c_uint8),
         _ptr(offsets, ctypes.c_int64),
         n_rows,

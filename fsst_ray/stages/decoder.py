@@ -11,6 +11,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..codecs import decode_payload, decode_payload_into
+from ..kernel import native
 from ..sources.tokens import TOKENS_SCHEMA
 from .serialize import tokens_views
 
@@ -82,39 +83,7 @@ def decode_chunks_batch(batch: pa.Table) -> pa.Table:
 
 def _row_checksums(batch: pa.Table) -> np.ndarray:
     """Order-sensitive per-row u64 checksum of the tokens column."""
-    values, offsets = tokens_views(batch)
-    n = len(offsets) - 1
-
-    from ..kernel import native
-
-    lib = native.get_lib()
-    if lib is not None:
-        import ctypes
-
-        v32 = np.ascontiguousarray(values, dtype=np.int32)
-        off = np.ascontiguousarray(offsets, dtype=np.int64)
-        out = np.empty(n, dtype=np.uint64)
-        lib.row_checksums(
-            v32.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)),
-            off.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-            n,
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64)),
-        )
-        return out
-
-    v = values.astype(np.uint64)
-    local_pos = np.arange(len(v), dtype=np.uint64) - np.repeat(
-        offsets[:-1].astype(np.uint64), (offsets[1:] - offsets[:-1])
-    )
-    mixed = (v + np.uint64(0x9E3779B97F4A7C15)) * (local_pos + np.uint64(1))
-    sums = np.zeros(n, dtype=np.uint64)
-    nonempty = offsets[:-1] < offsets[1:]
-    if len(v) and nonempty.any():
-        # starts of non-empty rows are strictly increasing, and empty
-        # rows contribute no values, so reduceat segments cover exactly
-        # each non-empty row's values
-        sums[nonempty] = np.add.reduceat(mixed, offsets[:-1][nonempty])
-    return sums
+    return native.row_checksums(*tokens_views(batch))
 
 
 def checksum_batch(batch: pa.Table) -> pa.Table:

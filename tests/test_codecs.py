@@ -87,6 +87,33 @@ def test_pack_bits_roundtrip():
         assert np.array_equal(unpack_bits(pack_bits(vals, width), n, width).astype(np.int64), vals)
 
 
+
+def _wide_width_payload(codec: str, width: int, n: int = 64) -> bytes:
+    """A framed payload whose bit-width header byte is `width`, with an
+    all-0xff body long enough to pass the body-length check."""
+    body = b"\xff" * ((n * width + 7) // 8)
+    header = {
+        "bitpack": struct.pack("<B", width),
+        "for": struct.pack("<qB", 0, width),
+        "pfor": struct.pack("<qBqBB", 0, width, 0, 0, 0),
+    }[codec]
+    codec_id = codecs.CODEC_BY_NAME[codec].codec_id
+    return struct.pack("<BBq", codec_id, 1, n) + header + body
+
+
+@pytest.mark.parametrize("width", [58, 64])
+@pytest.mark.parametrize("codec", ["bitpack", "for", "pfor"])
+def test_width_beyond_kernel_is_corrupt(codec, width):
+    """Widths come from the payload; one the C bit-unpacker cannot hold
+    must raise, not decode to wrapped int32 garbage."""
+    with pytest.raises(ValueError, match="corrupt chunk"):
+        decode_payload(_wide_width_payload(codec, width))
+
+
+def test_pack_bits_rejects_width_beyond_kernel():
+    with pytest.raises(ValueError):
+        pack_bits(np.ones(4, dtype=np.int64), 58)
+
 def test_selection_preferences(fsst_state):
     # constant -> for with width 0 (9 bytes beats rle's run headers)
     name, _ = select_codec(CASES["constant"])

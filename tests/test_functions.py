@@ -3140,6 +3140,29 @@ def test_bpe_apply_matches_training_and_reference(ray_session):
         assert out2[out2["doc_id"] == did].iloc[0]["n_bpe_tokens"] == want
 
 
+def test_null_text_has_no_words(ray_session):
+    """A null text contributes no words, as DuckDB's string_split(NULL)
+    unnests to nothing (it used to reach np.repeat as a garbage length)."""
+    import ray.data as rd
+
+    from fsst_ray.functions.bpe import bpe_apply, bpe_train
+    from fsst_ray.functions.lm import _bigram_rows
+
+    t = pa.table(
+        {
+            "doc_id": pa.array([0, 1, 2], pa.int64()),
+            "text": pa.array(["a b c", None, "d e"], pa.string()),
+        }
+    )
+    doc, w1, w2 = _bigram_rows(t, "text")
+    assert doc.tolist() == [0, 0, 2]
+    assert list(zip(w1, w2)) == [("a", "b"), ("b", "c"), ("d", "e")]
+
+    merges = bpe_train(rd.from_arrow(t.slice(0, 1)), n_merges=2)
+    out = bpe_apply(rd.from_arrow(t), merges).to_pandas().sort_values("doc_id")
+    assert out["n_words"].tolist() == [3, 0, 2]
+    assert out["n_bpe_tokens"].tolist()[1] == 0
+
 def test_props_rollup_single_group_many_partitions(ray_session):
     """More aggregate output partitions than groups: Ray emits empty
     zero-column blocks (the session-8 rollup lesson) — finish must

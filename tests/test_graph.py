@@ -358,6 +358,9 @@ def test_pagerank_guards(ray_session):
         pagerank(_edges_ds([(0, 1)]), scale=10**9 + 1)
     with pytest.raises(ValueError, match="overflow"):
         pagerank(_edges_ds([(0, 1)]), scale=(1 << 62) // 100 * 100)
+    # 2 nodes * 1e17 < 2^62, but rank * damping_num reaches 1.7e19 > 2^63
+    with pytest.raises(ValueError, match="overflow"):
+        pagerank(_edges_ds([(0, 1)]), scale=10**17)
 
 
 def test_pagerank_empty_edges(ray_session):
@@ -431,6 +434,18 @@ def test_hop_distance_guards(ray_session):
         hop_distance(_edges_ds([(0, 1)]), [])
     with pytest.raises(RuntimeError, match="max_hops"):
         hop_distance(_edges_ds([(i, i + 1) for i in range(10)]), [0], max_hops=3)
+
+
+def test_hop_distance_eccentricity_equal_to_max_hops(ray_session):
+    """A BFS that finishes exactly at max_hops is complete, not an error;
+    one hop short still raises."""
+    from fsst_ray.functions.graph import hop_distance
+
+    path = [(0, 1), (1, 2)]
+    out = hop_distance(_edges_ds(path), [0], max_hops=2).to_pandas()
+    assert dict(zip(out["node"], out["hops"])) == {0: 0, 1: 1, 2: 2}
+    with pytest.raises(RuntimeError, match="max_hops"):
+        hop_distance(_edges_ds(path), [0], max_hops=1)
 
 
 def test_pagerank_and_bfs_survive_full_width_ids(ray_session):

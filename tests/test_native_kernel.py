@@ -139,3 +139,25 @@ def test_decompress_bulk_at_rejects_wrong_sizes():
         native.decompress_bulk_at(
             codes, code_offsets, comp.symbols, comp.lengths, out, bad
         )
+
+
+def test_get_lib_raises_when_library_cannot_load(monkeypatch, tmp_path):
+    """A missing C kernel is a loud error, never a silent slow path; the
+    failure is not cached, so a later call tries again."""
+    native.get_lib()  # the real library, restored by monkeypatch below
+    monkeypatch.setattr(native, "_LIB", None)
+    monkeypatch.setenv("FSST_NATIVE_SO", str(tmp_path / "missing.so"))
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="missing.so"):
+            native.get_lib()
+    assert native._LIB is None
+
+
+def test_get_lib_build_failure_reports_compiler_stderr(monkeypatch, tmp_path):
+    bad = tmp_path / "broken_kernel.c"
+    bad.write_text("int broken_kernel(void) { return undeclared_name; }\n")
+    monkeypatch.setattr(native, "_LIB", None)
+    monkeypatch.setattr(native, "_SRC", bad)
+    monkeypatch.delenv("FSST_NATIVE_SO", raising=False)
+    with pytest.raises(RuntimeError, match="undeclared_name"):
+        native.get_lib()
