@@ -85,7 +85,7 @@ def chunk_stats(values: np.ndarray) -> dict:
         delta_zz_width = max(int(dmax * 2).bit_length(), 1)
         vbyte_bytes = int(_vbyte_count(sampled) / max(frac, 1e-9))
         # proportions drive the width choice; PforCodec.estimate scales
-        # the exception count by n / hist.sum()
+        # the histogram to n
         bl_hist = _bl_hist(sampled)
         sample_bytes = sampled[: _WINDOW].astype("<i4", copy=False).tobytes()
     return {

@@ -331,10 +331,11 @@ class PforCodec(Codec):
         if n == 0:
             return 19
         hist = np.asarray(hist, dtype=np.int64)
-        # windowed stats scale the histogram; keep proportions
+        # windowed stats sample the histogram: scale it to n before the
+        # width choice, or exceptions are priced at the sampling fraction
+        # (n >= hist.sum(), so no nonzero bin rounds to zero)
+        hist = np.rint(hist * (n / max(int(hist.sum()), 1))).astype(np.int64)
         w, nexc = self._best_width(n, hist)
-        scale = n / max(int(hist.sum()), 1)
-        nexc = int(round(nexc * scale))
         exc_w = int(np.flatnonzero(hist)[-1]) if hist.any() else 0
         return self._size(n, w, nexc, bit_width(max(n - 1, 0)), exc_w)
 

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import functools
+import os
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..sources.tokens import TOKENS_SCHEMA
 from ..stages.decoder import dataset_checksum, decode_chunks_batch
 from ..state import manifest as mf
 
@@ -71,95 +79,143 @@ def verify_roundtrip(original_ds, encoded_or_dir) -> dict:
     }
 
 
-def _empty_rows_table():
-    import pyarrow as pa
+# A selective decode whose zone-pruned scan files total at most this
+# many bytes on disk runs in the driver. Set from
+# tools/executor_crossover.py (16M-token buckets, Ray at 4 CPUs on a
+# 4-core VM): point lookups ran 5.5-14x faster in the driver at every
+# scan size up to 611 MiB; a range that decodes every chunk (the
+# driver's worst case) ran 2.0x faster at 90 MiB, 1.37x at 302 MiB and
+# 0.96x at 611 MiB. The bound stays below that crossover with margin,
+# because more CPUs speed up only the Ray Data side, and it caps the
+# driver's decoded rows at about 2.3x the bound.
+_DRIVER_READ_BYTES = 256 << 20
 
-    return pa.table(
-        {
-            "doc_id": pa.array([], type=pa.string()),
-            "tokens": pa.array([], type=pa.list_(pa.int32())),
-            "n_tok": pa.array([], type=pa.int32()),
-            "source": pa.array([], type=pa.string()),
-        }
-    )
-
-
-def _collect_hits(scan_files, columns, find_hits):
-    """Phase A of a selective decode: projected scan of chunk-index
-    columns (the payload column — ~99% of encoded bytes — is never
-    read), returning the small (part_key, chunk_seq) hits table on the
-    driver (bounded: at most one row per hit chunk)."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    index = rd.read_parquet(
-        scan_files, file_extensions=["parquet"], columns=columns
-    ).map_batches(find_hits, batch_format="pyarrow")
-    batches = [pa.table(b) for b in index.iter_batches(batch_format="pyarrow")]
-    if batches:
-        return pa.concat_tables(batches)
-    # iter_batches yields nothing when every block filtered empty
-    return pa.table(
-        {
-            "part_key": pa.array([], type=pa.string()),
-            "chunk_seq": pa.array([], type=pa.int32()),
-        }
-    )
+_HITS_SCHEMA = pa.schema([("part_key", pa.string()), ("chunk_seq", pa.int32())])
 
 
 def _apply_tombstones(out_dir: str, rows_ds):
-    from ..state.tombstones import tombstone_filter
+    from ..state.tombstones import drop_dead, load_tombstones
 
-    drop = tombstone_filter(out_dir)
-    return rows_ds if drop is None else rows_ds.map_batches(
-        drop, batch_format="pyarrow"
+    dead = load_tombstones(out_dir)
+    if len(dead) == 0:
+        return rows_ds
+    return rows_ds.map_batches(
+        drop_dead, fn_kwargs={"dead": dead}, batch_format="pyarrow"
     )
 
 
-def _phase_b_decode(path, entries, hits, stats, trim_fn):
-    """Phase B of a selective decode: re-read just the HIT bucket files
-    (file-level pruning from the manifest's part->file map), decode only
-    the hit (part_key, chunk_seq) chunks, and trim decoded rows with
-    `trim_fn`. Shared by decode_select and decode_ntok_range."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
+def _chunk_keys(table: pa.Table) -> pa.Array:
+    """'{part_key}#{chunk_seq}' per row: the composite chunk key that
+    phase B matches against phase A's hits."""
+    return pc.binary_join_element_wise(
+        table["part_key"], pc.cast(table["chunk_seq"], pa.string()), "#"
+    )
+
+
+def _doc_in(values, wanted: pa.Array):
+    return pc.is_in(values, value_set=wanted)
+
+
+def _ntok_between(values, lo: int, hi: int):
+    return pc.and_(pc.greater_equal(values, lo), pc.less_equal(values, hi))
+
+
+def find_hits(index: pa.Table, column: str, match) -> pa.Table:
+    """Phase A: the (part_key, chunk_seq) of every chunk whose per-row
+    `column` index list holds at least one value `match` accepts (an
+    exact test per row, not a min/max approximation)."""
+    col = index[column]
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    parents = pc.list_parent_indices(col).to_numpy(zero_copy_only=False)
+    hit = match(pc.list_flatten(col)).to_numpy(zero_copy_only=False)
+    mask = np.zeros(index.num_rows, dtype=bool)
+    mask[parents[hit]] = True
+    return index.select(["part_key", "chunk_seq"]).filter(pa.array(mask))
+
+
+def decode_hits(chunks: pa.Table, keys: pa.Array, column: str, match) -> pa.Table:
+    """Phase B: decode only the chunk rows whose key is in `keys`, and
+    trim the decoded rows to those whose `column` value `match`
+    accepts."""
+    chunks = chunks.filter(pc.is_in(_chunk_keys(chunks), value_set=keys))
+    if chunks.num_rows == 0:
+        return TOKENS_SCHEMA.empty_table()
+    rows = decode_chunks_batch(chunks)
+    return rows.filter(match(rows[column]))
+
+
+def _pruned_decode(out_dir, entries, scan_entries, column, match, stats):
+    """The two-phase pruned read shared by decode_select and
+    decode_ntok_range: phase A (`find_hits`) scans only the
+    (part_key, chunk_seq, `column`) index columns of the `scan_entries`
+    files — the payload column, ~99% of encoded bytes, is never read;
+    phase B (`decode_hits`) re-reads just the files holding a hit chunk
+    (the manifest's part->file map) and decodes only the hit chunks;
+    then tombstoned rows are dropped.
+
+    One path, two executors. When the scan files total at most
+    `_DRIVER_READ_BYTES` on disk, the driver runs the phase functions
+    with pyarrow and returns `rd.from_arrow` of the rows; larger scans
+    map the same functions over Ray Data reads."""
+    import pyarrow.parquet as pq
     import ray.data as rd
+
+    from ..state.tombstones import drop_dead, load_tombstones
+
+    path = mf.chunks_dir(out_dir)
+    scan_files = [str(path / e["file"]) for e in scan_entries.values()]
+    scan_bytes = sum(os.path.getsize(f) for f in scan_files)
+    in_driver = scan_bytes <= _DRIVER_READ_BYTES
+    index_cols = ["part_key", "chunk_seq", column]
+    if in_driver:
+        hits = pa.concat_tables(
+            [_HITS_SCHEMA.empty_table()]
+            + [
+                find_hits(pq.read_table(f, columns=index_cols), column, match)
+                for f in scan_files
+            ]
+        )
+    else:
+        index = rd.read_parquet(
+            scan_files, file_extensions=["parquet"], columns=index_cols
+        ).map_batches(
+            find_hits,
+            fn_kwargs={"column": column, "match": match},
+            batch_format="pyarrow",
+        )
+        # driver-bounded: at most one row per hit chunk
+        hits = pa.concat_tables(
+            [_HITS_SCHEMA.empty_table()]
+            + [pa.table(b) for b in index.iter_batches(batch_format="pyarrow")]
+        )
 
     hit_parts = set(hits["part_key"].to_pylist())
     hit_files = [str(path / e["file"]) for k, e in entries.items() if k in hit_parts]
     if stats is not None:
+        stats["executor"] = "driver" if in_driver else "ray"
+        stats["files_zone_scanned"] = len(scan_files)
+        stats["bytes_zone_scanned"] = scan_bytes
         stats["files_total"] = len(entries)
         stats["files_read"] = len(hit_files)
         stats["chunks_total"] = sum(e["chunks"] for e in entries.values())
         stats["chunks_decoded"] = hits.num_rows
-    if not hit_files:
-        return rd.from_arrow(_empty_rows_table())
-
-    # composite key (part_key, chunk_seq) membership, vectorized
-    hit_keys = pa.array(
-        [
-            f"{k}#{s}"
-            for k, s in zip(hits["part_key"].to_pylist(), hits["chunk_seq"].to_pylist())
-        ],
-        type=pa.string(),
-    )
-    hit_keys_ref = ray.put(hit_keys)
-
-    def decode_hit_chunks(batch: pa.Table) -> pa.Table:
-        keys = pc.binary_join_element_wise(
-            batch["part_key"],
-            pc.cast(batch["chunk_seq"], pa.string()),
-            "#",
+    keys = _chunk_keys(hits)
+    if in_driver:
+        rows = pa.concat_tables(
+            [TOKENS_SCHEMA.empty_table()]
+            + [decode_hits(pq.read_table(f), keys, column, match) for f in hit_files]
         )
-        batch = batch.filter(pc.is_in(keys, value_set=ray.get(hit_keys_ref)))
-        if batch.num_rows == 0:
-            return _empty_rows_table()
-        return trim_fn(decode_chunks_batch(batch))
-
-    return rd.read_parquet(
-        hit_files, file_extensions=["parquet"]
-    ).map_batches(decode_hit_chunks, batch_format="pyarrow", batch_size=None)
+        return rd.from_arrow(drop_dead(rows, load_tombstones(out_dir)))
+    if not hit_files:
+        return rd.from_arrow(TOKENS_SCHEMA.empty_table())
+    rows_ds = rd.read_parquet(hit_files, file_extensions=["parquet"]).map_batches(
+        decode_hits,
+        fn_kwargs={"keys": keys, "column": column, "match": match},
+        batch_format="pyarrow",
+        batch_size=None,
+    )
+    return _apply_tombstones(out_dir, rows_ds)
 
 
 def decode_select(out_dir: str, doc_ids, stats: dict | None = None):
@@ -167,82 +223,50 @@ def decode_select(out_dir: str, doc_ids, stats: dict | None = None):
 
     The point-lookup path over an encoded corpus — decodes only the
     chunks that contain requested docs instead of scanning everything.
-    Two-phase pruned read:
+    Zone-map pruning first drops every file whose manifest
+    [doc_min, doc_max] range cannot hold a requested id (entries
+    without zone fields are always scanned; an empty request scans
+    nothing), then a two-phase pruned read:
 
     - **Phase A** scans ONLY the chunk-index columns (`part_key`,
-      `chunk_seq`, `doc_id`) — parquet column projection never touches
-      the `payload` column, which is ~99% of the encoded bytes — and
-      collects the hit chunk keys (driver-bounded: at most one key per
-      requested doc per chunk, i.e. <= len(doc_ids)).
-    - **Phase B** re-reads just the HIT bucket files (file-level
-      pruning from the manifest's part->file map), filters to the hit
-      chunk_seqs, decodes only those chunks, and trims the decoded
-      rows to the requested ids.
+      `chunk_seq`, `doc_id`) of the remaining files and collects the
+      hit chunk keys (driver-bounded: at most one key per requested
+      doc per chunk).
+    - **Phase B** re-reads just the HIT bucket files, decodes only the
+      hit chunks, and trims the decoded rows to the requested ids.
 
-    At cluster scale the same shape holds: phase A is a cheap
-    projected scan over index columns, phase B reads O(hits) files.
-    If `stats` is passed, records files_total / files_read /
-    chunks_decoded for pruning assertions.
+    Small reads run in the driver: when the zone-pruned scan files
+    total at most `_DRIVER_READ_BYTES` (256 MiB) on disk, both phases
+    and the tombstone drop run in this process with pyarrow and no Ray
+    Data job starts — a point lookup then costs milliseconds, not
+    Ray's fixed cost per job. Larger scans map the same phase
+    functions over Ray Data reads. Either way the result is a Dataset.
+
+    If `stats` is passed, records files_zone_scanned /
+    bytes_zone_scanned / files_total / files_read / chunks_total /
+    chunks_decoded for pruning assertions, and `executor` ("driver" or
+    "ray").
     """
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-    import ray.data as rd
-
     wanted_sorted = sorted({str(d) for d in doc_ids})
-    wanted = pa.array(wanted_sorted, type=pa.string())
-    wanted_ref = ray.put(wanted)
-    path = mf.chunks_dir(out_dir)
+    wanted_np = np.array(wanted_sorted)
 
-    # zone-map pruning BEFORE phase A: skip files whose lexicographic
-    # [doc_min, doc_max] range (recorded in the manifest at encode
-    # time) cannot contain any requested id. Entries from older
-    # manifests without zone fields are always scanned.
     from .compact_job import assert_readable
 
     assert_readable(out_dir)
     entries = mf.load_manifest(out_dir)
-    wanted_np = np.array(wanted_sorted)
 
     def _zone_may_hit(e: dict) -> bool:
+        if not wanted_sorted:
+            return False
         dmin, dmax = e.get("doc_min"), e.get("doc_max")
-        if dmin is None or dmax is None or not len(wanted_np):
+        if dmin is None or dmax is None:
             return True
         i = int(np.searchsorted(wanted_np, dmin, side="left"))
         return i < len(wanted_np) and wanted_np[i] <= dmax
 
     scan_entries = {k: e for k, e in entries.items() if _zone_may_hit(e)}
-    scan_files = [str(path / e["file"]) for e in scan_entries.values()]
-    if stats is not None:
-        stats["files_zone_scanned"] = len(scan_files)
-
-    if not scan_files:
-        if stats is not None:
-            stats["files_total"] = len(entries)
-            stats["files_read"] = 0
-            stats["chunks_total"] = sum(e["chunks"] for e in entries.values())
-            stats["chunks_decoded"] = 0
-        return rd.from_arrow(_empty_rows_table())
-
-    def find_hits(batch: pa.Table) -> pa.Table:
-        w = ray.get(wanted_ref)
-        col = batch["doc_id"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        isin = pc.is_in(pc.list_flatten(col), value_set=w)
-        parents = pc.list_parent_indices(col).to_numpy(zero_copy_only=False)
-        hit_rows = np.unique(parents[isin.to_numpy(zero_copy_only=False)])
-        mask = np.zeros(batch.num_rows, dtype=bool)
-        mask[hit_rows] = True
-        return batch.select(["part_key", "chunk_seq"]).filter(pa.array(mask))
-
-    hits = _collect_hits(scan_files, ["part_key", "chunk_seq", "doc_id"], find_hits)
-
-    def trim(rows: pa.Table) -> pa.Table:
-        return rows.filter(pc.is_in(rows["doc_id"], value_set=ray.get(wanted_ref)))
-
-    return _apply_tombstones(out_dir, _phase_b_decode(path, entries, hits, stats, trim))
+    match = functools.partial(_doc_in, wanted=pa.array(wanted_sorted, pa.string()))
+    return _pruned_decode(out_dir, entries, scan_entries, "doc_id", match, stats)
 
 
 def decode_ntok_range(out_dir: str, lo: int, hi: int, stats: dict | None = None):
@@ -250,7 +274,9 @@ def decode_ntok_range(out_dir: str, lo: int, hi: int, stats: dict | None = None)
 
     The length-predicate sibling of `decode_select` — the read pattern
     of a curriculum / length-bucketed training selection ("decode only
-    the long documents"). Same two-phase pruned shape:
+    the long documents"). Same two-phase pruned read and the same two
+    executors (driver at or below `_DRIVER_READ_BYTES` of scanned files,
+    Ray Data above):
 
     - **Phase A** scans ONLY (part_key, chunk_seq, n_tok) — parquet
       projection never touches the payload column. A chunk is hit iff
@@ -261,54 +287,17 @@ def decode_ntok_range(out_dir: str, lo: int, hi: int, stats: dict | None = None)
 
     File-level doc-id zone maps cannot help here by design (buckets are
     doc-hash assigned for write balance, so every bucket spans most of
-    the length distribution) — but whole files are still skipped when
-    none of their chunks hit, which is exactly the selective-tail case
-    (n_tok above p99) where this read matters at 100 TB.
+    the length distribution), so phase A scans every file — but whole
+    files are still skipped in phase B when none of their chunks hit,
+    which is exactly the selective-tail case (n_tok above p99) where
+    this read matters at 100 TB.
     """
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray.data as rd
-
-    path = mf.chunks_dir(out_dir)
     from .compact_job import assert_readable
 
     assert_readable(out_dir)
     entries = mf.load_manifest(out_dir)
-    scan_files = [str(path / e["file"]) for e in entries.values()]
-    if not scan_files:
-        if stats is not None:
-            stats["files_total"] = 0
-            stats["files_read"] = 0
-            stats["chunks_total"] = 0
-            stats["chunks_decoded"] = 0
-        return rd.from_arrow(_empty_rows_table())
-
-    def find_hits(batch: pa.Table) -> pa.Table:
-        col = batch["n_tok"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        flat = pc.list_flatten(col).to_numpy(zero_copy_only=False)
-        in_range = (flat >= lo) & (flat <= hi)
-        parents = pc.list_parent_indices(col).to_numpy(zero_copy_only=False)
-        hit_rows = np.unique(parents[in_range])
-        mask = np.zeros(batch.num_rows, dtype=bool)
-        mask[hit_rows] = True
-        return batch.select(["part_key", "chunk_seq"]).filter(pa.array(mask))
-
-    hits = _collect_hits(scan_files, ["part_key", "chunk_seq", "n_tok"], find_hits)
-
-    def trim(rows: pa.Table) -> pa.Table:
-        n = rows["n_tok"]
-        if isinstance(n, pa.ChunkedArray):
-            n = n.combine_chunks()
-        keep = pc.and_(
-            pc.greater_equal(n, pa.scalar(lo, type=n.type)),
-            pc.less_equal(n, pa.scalar(hi, type=n.type)),
-        )
-        return rows.filter(keep)
-
-    return _apply_tombstones(out_dir, _phase_b_decode(path, entries, hits, stats, trim))
+    match = functools.partial(_ntok_between, lo=lo, hi=hi)
+    return _pruned_decode(out_dir, entries, entries, "n_tok", match, stats)
 
 
 def generation_of_key(part_key: str) -> int:
@@ -355,7 +344,7 @@ def decode_generation(out_dir: str, max_gen: int, stats: dict | None = None):
         stats["files_total"] = len(entries)
         stats["files_read"] = len(files)
     if not files:
-        return rd.from_arrow(_empty_rows_table())
+        return rd.from_arrow(TOKENS_SCHEMA.empty_table())
     rows = rd.read_parquet(
         files, override_num_blocks=max(len(files), 1)
     ).map_batches(decode_chunks_batch, batch_format="pyarrow", batch_size=None)
@@ -369,7 +358,6 @@ def decode_source(out_dir: str, sources, stats: dict | None = None):
     level — only the requested sources' bucket files are ever opened;
     no phase-A scan is needed at all. At 100 TB this reads exactly the
     selected sources' share of the corpus."""
-    import pyarrow.compute as pc
     import ray.data as rd
 
     wanted = set(sources) if not isinstance(sources, str) else {sources}
@@ -387,9 +375,7 @@ def decode_source(out_dir: str, sources, stats: dict | None = None):
         stats["files_total"] = len(entries)
         stats["files_read"] = len(files)
     if not files:
-        return rd.from_arrow(_empty_rows_table())
-    import pyarrow as pa
-
+        return rd.from_arrow(TOKENS_SCHEMA.empty_table())
     rows = rd.read_parquet(
         files, override_num_blocks=max(len(files), 1)
     ).map_batches(decode_chunks_batch, batch_format="pyarrow", batch_size=None)

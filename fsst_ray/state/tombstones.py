@@ -89,24 +89,16 @@ def load_tombstones(out_dir: str, files: list[pathlib.Path] | None = None) -> np
     return np.unique(np.concatenate(parts))
 
 
-def tombstone_filter(out_dir: str):
-    """None when the corpus has no tombstones, else a map_batches fn
-    dropping tombstoned rows (shared sorted-membership primitive on
-    the broadcast set)."""
-    import ray
-
+def drop_dead(rows: pa.Table, dead: np.ndarray) -> pa.Table:
+    """`rows` without those whose doc_id is in `dead`, the sorted
+    tombstone set of `load_tombstones`: the one row filter every decode
+    path applies, in the driver or mapped over a Ray Dataset."""
     from ..functions.dedup import sorted_isin
 
-    dead = load_tombstones(out_dir)
     if len(dead) == 0:
-        return None
-    ref = ray.put(dead)
-
-    def drop(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(~sorted_isin(ray.get(ref), ids)))
-
-    return drop
+        return rows
+    ids = rows["doc_id"].to_numpy(zero_copy_only=False)
+    return rows.filter(pa.array(~sorted_isin(dead, ids)))
 
 
 def _all_states(out_dir: str) -> dict:

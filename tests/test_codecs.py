@@ -230,6 +230,34 @@ def test_pfor_exact_estimate_and_family_win():
     assert np.array_equal(decode_payload(payload).astype(np.int32), v)
 
 
+def test_pfor_windowed_estimate_picks_exact_width():
+    """On a windowed chunk (> 2^17 values, stats sampled) the estimate
+    prices exceptions at the full n: its width is the one _best_width
+    picks from the exact histogram, so estimate == actual here. Priced
+    at the sampling fraction, 30% exceptions look cheap and width 4
+    wins over the exact 8."""
+    import numpy as np
+
+    from fsst_ray.codecs.select import _EXACT_LIMIT, chunk_stats
+    from fsst_ray.codecs.simple import PforCodec, bit_width
+
+    n = (1 << 18) + 1000
+    i = np.arange(n)
+    # 3 in 10 deltas need 8 bits, the rest at most 4
+    v = np.where(np.isin(i % 10, [0, 3, 7]), 128 + i % 128, i % 16).astype(np.int32)
+    st = chunk_stats(v)
+    assert n > _EXACT_LIMIT and st["bl_hist"].sum() < n
+    exact = np.bincount(
+        [int(d).bit_length() for d in v - v.min()], minlength=33
+    )
+    w, nexc = PforCodec._best_width(n, exact)
+    assert (w, nexc) == (8, 0)
+    p = PforCodec()
+    est = p.estimate(st, None)
+    assert est == PforCodec._size(n, w, nexc, bit_width(n - 1), 8)
+    assert est == len(p.encode_values(v, None))
+
+
 def test_pfor_edge_cases_and_corruption():
     import numpy as np
     import pytest

@@ -598,6 +598,104 @@ def test_decode_ntok_range_prunes_and_matches(tokens_ds, tmp_path):
     assert stats2["files_read"] == 0
 
 
+@pytest.fixture
+def tombstoned_corpus(tokens_ds, tmp_path):
+    """An encoded corpus with one deleted english id; returns (out, the
+    source table, the dead id)."""
+    from fsst_ray.state.tombstones import delete_docs
+
+    out = str(tmp_path / "enc_exec")
+    encode_dataset(tokens_ds, out, chunk_tokens=1 << 14, bucket_tokens=1 << 15)
+    src = tokens_table(SCALE)
+    dead = "english-000000001"
+    delete_docs(out, [dead])
+    return out, src, dead
+
+
+def _selections(out, src, dead):
+    """name -> (run(stats) -> Dataset, the expected rows sorted by
+    doc_id), covering both selective decodes on hits and on nothing."""
+    import pyarrow.compute as pc
+
+    from fsst_ray import decode_ntok_range, decode_select
+
+    live = src.filter(pc.not_equal(src["doc_id"], dead))
+    # two sources, an absent id inside english's id range, the dead id
+    present = ["english-000000000", "english-000000002", "random-000000003"]
+    ids = present + ["english-000000000~", dead]
+    ntoks = sorted(src["n_tok"].to_pylist())
+    lo = ntoks[int(len(ntoks) * 0.98)]
+
+    def want(mask):
+        return live.filter(mask).sort_by("doc_id")
+
+    return {
+        "ids": (
+            lambda st: decode_select(out, ids, stats=st),
+            want(pc.is_in(live["doc_id"], pa.array(present))),
+        ),
+        "no_ids": (lambda st: decode_select(out, [], stats=st), src.slice(0, 0)),
+        "range": (
+            lambda st: decode_ntok_range(out, lo, 1 << 30, stats=st),
+            want(pc.greater_equal(live["n_tok"], lo)),
+        ),
+        "no_range": (
+            lambda st: decode_ntok_range(out, 1 << 29, 1 << 30, stats=st),
+            src.slice(0, 0),
+        ),
+    }
+
+
+def _collect(ds) -> pa.Table:
+    from fsst_ray.sources.tokens import TOKENS_SCHEMA
+
+    return pa.concat_tables(
+        [TOKENS_SCHEMA.empty_table()]
+        + [pa.table(b) for b in ds.iter_batches(batch_format="pyarrow")]
+    ).sort_by("doc_id")
+
+
+def test_selective_decode_executors_agree(tombstoned_corpus, monkeypatch):
+    """The driver executor (scan bytes at or below _DRIVER_READ_BYTES)
+    and the Ray Data executor return the same rows and the same stats,
+    apart from `executor`, for decode_select and decode_ntok_range.
+    Below the bound the driver reads the files itself: Ray Data's
+    read_parquet is disabled while the bound is forced up."""
+    import ray.data
+
+    from fsst_ray.pipelines import decode_job
+
+    read_parquet = ray.data.read_parquet
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("ray.data.read_parquet called below the driver bound")
+
+    out, src, dead = tombstoned_corpus
+    for name, (run, want) in _selections(out, src, dead).items():
+        seen = {}
+        for bound, reader in ((1 << 40, no_read), (0, read_parquet)):
+            monkeypatch.setattr(decode_job, "_DRIVER_READ_BYTES", bound)
+            monkeypatch.setattr(ray.data, "read_parquet", reader)
+            stats: dict = {}
+            got = _collect(run(stats))
+            assert got.equals(want), (name, bound)
+            seen[bound] = stats
+        driver, ray_side = seen[1 << 40], seen[0]
+        assert driver.pop("executor") == "driver", name
+        # nothing to scan is zero bytes: at or below any bound
+        scans = ray_side["files_zone_scanned"] > 0
+        assert ray_side.pop("executor") == ("ray" if scans else "driver"), name
+        assert driver == ray_side, name
+        if name == "no_ids":
+            # an empty request scans no index at all
+            assert driver["files_zone_scanned"] == 0, driver
+            assert driver["bytes_zone_scanned"] == 0, driver
+        if name.startswith("no_"):
+            assert driver["files_read"] == 0, driver
+        else:
+            assert driver["files_read"] > 0, driver
+
+
 def test_append_dataset_incremental_ingest(tokens_ds, tmp_path):
     """Append encodes only the new rows into generation-tagged buckets:
     old bucket files untouched, trained states reused for known sources
