@@ -1,7 +1,7 @@
 """The two-pass encode job (flagship pipeline).
 
-Pass 1 (one streaming read): per-source deterministic sampling + token
-mass -> tiny groupby -> FSST symbol tables per source + bucket plan.
+Pass 1 (stages/trainer.py): per-source deterministic sampling + token
+mass, folded in the driver -> FSST symbol tables per source + bucket plan.
 Pass 2: assign (source, bucket) part keys (skew-aware: bucket count
 proportional to source token mass), shuffle once on part_key, encode
 each bucket into ~chunk_tokens-sized auto-selected codec chunks, write
@@ -32,19 +32,6 @@ from ..stages.encoder import (
 )
 from ..stages.trainer import train_states
 from ..state import manifest as mf
-
-# below this on-disk size, a single full-scan pass 1 is cheaper than the
-# pruned two-read path (samples hit ~every row group of a small corpus)
-PRUNED_PASS1_MIN_BYTES = 4 << 30
-
-
-def _corpus_bytes(input_path: str) -> int:
-    import pathlib
-
-    p = pathlib.Path(input_path)
-    if p.is_file():
-        return p.stat().st_size
-    return sum(f.stat().st_size for f in p.glob("**/*.parquet"))
 
 
 @dataclass
@@ -439,6 +426,9 @@ def encode_dataset(
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
+    # which pass-1 route ran and what it trained; resumed and
+    # caller-planned encodes train nothing
+    pass1 = {"route": "planned" if _plan is not None else "resumed", "sources_trained": []}
     if _plan is not None:
         # caller-managed plan (append_dataset): states/buckets decided
         # and persisted by the caller; keys namespaced by _key_tag
@@ -460,15 +450,7 @@ def encode_dataset(
             f"resume config mismatch: {saved_config} != {config}"
         )
     else:
-        if input_path is not None and _corpus_bytes(input_path) >= PRUNED_PASS1_MIN_BYTES:
-            # big corpus: mass/sample reads skip the token bytes
-            from ..stages.trainer import train_states_pruned
-
-            states, mass = train_states_pruned(input_path)
-        else:
-            # small corpus: one full scan beats two reads (the sampled
-            # docs would touch ~every row group anyway)
-            states, mass = train_states(ds)
+        states, mass, pass1 = train_states(ds, input_path)
         bucket_plan = build_bucket_plan(mass, bucket_tokens)
         mf.save_plan(out_dir, states, bucket_plan, mass, config)
     timings["pass1_train"] = time.perf_counter() - t0
@@ -624,6 +606,7 @@ def encode_dataset(
     entries = mf.load_manifest(out_dir)
     metrics = mf.summarize(entries)
     metrics["timings"] = {k: round(v, 3) for k, v in timings.items()}
+    metrics["pass1"] = pass1
     return EncodeResult(out_dir, metrics, bucket_plan)
 
 
@@ -704,17 +687,11 @@ def append_dataset(
         assert saved_config == config, (
             f"append resume config mismatch: {saved_config} != {config}"
         )
+        pass1 = {"route": "resumed", "sources_trained": []}
     else:
-        # pass 1 over the APPENDED data only
-        if input_path is not None and _corpus_bytes(input_path) >= PRUNED_PASS1_MIN_BYTES:
-            from ..stages.trainer import train_states_pruned
-
-            new_states, mass = train_states_pruned(input_path)
-        else:
-            new_states, mass = train_states(ds)
-        # reuse the corpus's trained states wherever they exist; only
-        # genuinely new sources use the append-trained ones
-        states = {src: base_states.get(src, st) for src, st in new_states.items()}
+        # pass 1 over the APPENDED data only: mass for every source,
+        # training only for sources the corpus does not have yet
+        states, mass, pass1 = train_states(ds, input_path, base_states)
         bucket_plan = build_bucket_plan(mass, config["bucket_tokens"])
         mf.save_plan(
             out_dir, states, bucket_plan, mass, config,
@@ -737,4 +714,5 @@ def append_dataset(
         path=plan_file, extra={"generation": gen, "completed": True},
     )
     result.metrics["generation"] = gen
+    result.metrics["pass1"] = pass1
     return result

@@ -1,39 +1,51 @@
-"""Pass 1: distributed per-source sampling + symbol-table training.
+"""Pass 1: per-source sampling, token mass and symbol-table training.
 
 The reference trains one table per corpus from a <=16 KiB pseudo-random
-sample (make_sample, reference src/builder.rs:535-584). Distributed
-adaptation: every block contributes its lowest-priority 512-byte row
-chunks per source (priority = stable hash of doc_id) until the
-FSST_SAMPLEMAX byte budget, a tiny groupby("source") consumes the
-globally lowest until the same budget, and the kernel's own
-make_sample/train runs on those. Because each block emits its full
-budget prefix, the global budget prefix is independent of how rows are
-split into blocks — sampling is deterministic under any partitioning
-(any candidate inside the global prefix has block-cumulative bytes <=
-its global-cumulative bytes, so its block emitted it).
+sample (make_sample, reference src/builder.rs:535-584). Here every
+source trains its own table on its lowest-priority row chunks
+(priority = stable hash of doc_id), up to the FSST_SAMPLEMAX byte
+budget. One rule cuts each row's chunk (`sample_spans`), one rule
+applies the budget (`_budget_prefix`), and one per-source step trains
+(`train_source_group`, run as one Ray task per source).
 
-The same scan also emits per-(block, source) token-mass partials used
-for skew-aware bucket planning, so pass 1 is a single read of the input.
+Every block emits its sources' token mass and the budget prefix of its
+own candidates; the driver folds that stream and keeps only each
+source's running prefix. Because prefix(A + B) == prefix(prefix(A) + B)
+(a candidate inside the global prefix has block-cumulative bytes <= its
+global-cumulative bytes), the sample is the global prefix under any
+split of rows into blocks, and the driver holds O(sources x 32 KiB).
+
+Two reads can feed the fold; `train_states` picks one by on-disk size:
+- scan: one read of the whole input, which cuts the chunks block-side;
+- pruned (parquet inputs of at least PRUNED_PASS1_MIN_BYTES): a
+  projected (doc_id, n_tok, source) read applies the same rules without
+  token bytes, then a doc_id-filtered read fetches only the kept rows.
+Both give bit-identical states and mass.
 """
 
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
 
 from ..codecs.fsst_codec import train_with_ratio
 from ..kernel.fsst import FSST_SAMPLELINE, FSST_SAMPLEMAX, fsst_hash
 from .serialize import tokens_views
 
-# Per-source candidate emission per block is bounded by the SAMPLEMAX
-# byte budget (emit lowest-priority chunks while cumulative bytes <
-# FSST_SAMPLEMAX), matching the global consumer's rule. This keeps the
-# selected sample partition-independent: any candidate inside the
-# global budget prefix is inside its own block's budget prefix too
-# (its block-cumulative <= its global-cumulative). With full 512-byte
-# chunks the budget equals the historical 64-chunk cap (64*512B =
-# 32 KiB); short-doc sources emit more, smaller chunks (ADVICE r2 #1).
-SAMPLE_K = 64  # historical cap, kept for reference/tests (== budget/512B)
+# below this on-disk size, one full scan is cheaper than the pruned two
+# reads (the sampled docs would touch ~every row group of a small corpus)
+PRUNED_PASS1_MIN_BYTES = 4 << 30
+
+
+def _corpus_bytes(input_path: str) -> int:
+    p = pathlib.Path(input_path)
+    if p.is_file():
+        return p.stat().st_size
+    return sum(f.stat().st_size for f in p.glob("**/*.parquet"))
 
 
 def _doc_priorities(doc_ids: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -44,321 +56,172 @@ def _doc_priorities(doc_ids: pa.ChunkedArray | pa.Array) -> np.ndarray:
     return s.hash(seed=4637947).to_numpy().astype(np.uint64)
 
 
-def sample_and_mass_batch(batch: pa.Table) -> pa.Table:
-    """Emit per-source sample-chunk rows + one token-mass row per source."""
-    values, offsets = tokens_views(batch)
-    raw = values.astype("<i4", copy=False).tobytes()
-    sources = batch["source"].to_numpy(zero_copy_only=False)
-    n_tok = offsets[1:] - offsets[:-1]
-    priorities = _doc_priorities(batch["doc_id"])
+def sample_spans(n_tok: np.ndarray, priority: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's sample chunk as (byte offset in the row, byte length):
+    chunk number fsst_hash(priority) of the row's FSST_SAMPLELINE-byte
+    chunks, as make_sample cuts a line. A pure function of (n_tok,
+    priority), so the pruned read applies it without token bytes.
+    Empty rows get length 0."""
+    row_len = 4 * n_tok.astype(np.int64)
+    n_chunks = np.maximum(1 + (row_len - 1) // FSST_SAMPLELINE, 1)
+    lo = FSST_SAMPLELINE * (fsst_hash(priority) % n_chunks.astype(np.uint64)).astype(np.int64)
+    return lo, np.minimum(FSST_SAMPLELINE, row_len - lo)
 
-    out_source, out_priority, out_chunk, out_mass, out_rows = [], [], [], [], []
-    out_is_mass = []
-    order = np.argsort(sources, kind="stable")
-    sorted_sources = sources[order]
-    boundaries = np.flatnonzero(sorted_sources[1:] != sorted_sources[:-1]) + 1
-    group_starts = np.concatenate([[0], boundaries, [len(sources)]])
-    for g in range(len(group_starts) - 1):
-        idx = order[group_starts[g] : group_starts[g + 1]]
-        source = sorted_sources[group_starts[g]]
-        # mass row (is_mass marks it; chunk empty)
-        out_source.append(source)
-        out_priority.append(0)
-        out_is_mass.append(True)
-        out_chunk.append(b"")
-        out_mass.append(int(n_tok[idx].sum()))
-        out_rows.append(len(idx))
-        # sample rows: lowest priorities among non-empty rows, emitted
-        # until the block's cumulative chunk bytes reach the budget
-        nonempty = idx[n_tok[idx] > 0]
-        if len(nonempty) == 0:
-            continue
-        pr = priorities[nonempty]
-        total = 0
-        for i in nonempty[np.argsort(pr, kind="stable")]:
-            if total >= FSST_SAMPLEMAX:
-                break
-            start, end = 4 * int(offsets[i]), 4 * int(offsets[i + 1])
-            row_len = end - start
-            n_chunks = 1 + (row_len - 1) // FSST_SAMPLELINE
-            chunk_no = fsst_hash(int(priorities[i])) % n_chunks
-            lo = start + FSST_SAMPLELINE * chunk_no
-            chunk = raw[lo : min(lo + FSST_SAMPLELINE, end)]
-            out_source.append(source)
-            out_priority.append(int(priorities[i]))  # true priority
-            out_is_mass.append(False)
-            out_chunk.append(chunk)
-            out_mass.append(0)
-            out_rows.append(0)
-            total += len(chunk)
-    return pa.table(
+
+def _budget_prefix(codes: np.ndarray, priority: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Indices of each source's candidates (`codes` numbers the
+    sources) in ascending priority, kept while the source's bytes
+    before them are below FSST_SAMPLEMAX."""
+    if len(codes) == 0:
+        return np.zeros(0, np.int64)
+    order = np.lexsort((priority, codes))
+    codes, size = codes[order], size[order]
+    before = np.cumsum(size) - size
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    before -= np.repeat(before[starts], np.diff(np.r_[starts, len(codes)]))
+    return order[before < FSST_SAMPLEMAX]
+
+
+def _block(batch: pa.Table, n_tok: np.ndarray):
+    """One block's mass rows (one per source) followed by its budget
+    prefix of sample rows, without a payload column; plus the kept
+    rows' indices and chunk spans."""
+    sources = batch["source"].to_numpy(zero_copy_only=False)
+    priority = _doc_priorities(batch["doc_id"])
+    names, inv = np.unique(sources, return_inverse=True)
+    lo, size = sample_spans(n_tok, priority)
+    rows = np.flatnonzero(size)
+    keep = rows[_budget_prefix(inv[rows], priority[rows], size[rows])]
+    mass = np.zeros(len(names), np.int64)
+    np.add.at(mass, inv, n_tok)
+    m, zeros = len(names), np.zeros(len(keep), np.int64)
+    head = pa.table(
         {
-            "source": pa.array(out_source, type=pa.string()),
-            "priority": pa.array(out_priority, type=pa.uint64()),
-            "is_mass": pa.array(out_is_mass, type=pa.bool_()),
-            "chunk": pa.array(out_chunk, type=pa.large_binary()),
-            "mass": pa.array(out_mass, type=pa.int64()),
-            "rows": pa.array(out_rows, type=pa.int64()),
+            "source": pa.array(np.concatenate([names, sources[keep]]), pa.string()),
+            "priority": np.concatenate([np.zeros(m, np.uint64), priority[keep]]),
+            "is_mass": np.arange(m + len(keep)) < m,
+            "mass": np.concatenate([mass, zeros]),
+            "rows": np.concatenate([np.bincount(inv, minlength=m).astype(np.int64), zeros]),
         }
     )
+    return head, keep, lo[keep], size[keep]
+
+
+def sample_and_mass_batch(batch: pa.Table) -> pa.Table:
+    """Per-source token-mass rows plus the block's sample-chunk rows."""
+    values, offsets = tokens_views(batch)
+    head, keep, lo, size = _block(batch, np.diff(offsets))
+    raw = values.astype("<i4", copy=False).view(np.uint8)
+    starts = 4 * offsets[keep] + lo
+    chunks = [b""] * (head.num_rows - len(keep))
+    chunks += [raw[a : a + n].tobytes() for a, n in zip(starts, size)]
+    return head.add_column(3, "chunk", pa.array(chunks, pa.large_binary()))
+
+
+def _doc_candidates_batch(batch: pa.Table) -> pa.Table:
+    """sample_and_mass_batch on the (doc_id, n_tok, source) projection:
+    sample rows carry their doc_id and chunk length, not chunk bytes."""
+    n_tok = batch["n_tok"].to_numpy(zero_copy_only=False).astype(np.int64)
+    head, keep, _, size = _block(batch, n_tok)
+    pad = head.num_rows - len(keep)
+    doc_ids = batch["doc_id"].combine_chunks().take(pa.array(keep, pa.int64()))
+    return head.append_column(
+        "doc_id", pa.concat_arrays([pa.nulls(pad, pa.string()), doc_ids.cast(pa.string())])
+    ).append_column("chunk_len", pa.array(np.r_[np.zeros(pad, np.int64), size]))
+
+
+def _sizes(samples: pa.Table) -> np.ndarray:
+    if "chunk_len" in samples.column_names:
+        return samples["chunk_len"].to_numpy()
+    return pc.binary_length(samples["chunk"]).to_numpy()
+
+
+def _keep_budget(samples: pa.Table) -> pa.Table:
+    codes = np.unique(samples["source"].to_numpy(zero_copy_only=False), return_inverse=True)[1]
+    return samples.take(_budget_prefix(codes, samples["priority"].to_numpy(), _sizes(samples)))
+
+
+def _fold(blocks) -> tuple[dict[str, dict], pa.Table | None]:
+    """Driver reduce of a candidate stream: per-source mass, and the
+    sample rows of each source's running budget prefix."""
+    mass: dict[str, dict] = {}
+    kept = None
+    for t in blocks:
+        head = t.filter(t["is_mass"])
+        for s, n, r in zip(*(head[c].to_pylist() for c in ("source", "mass", "rows"))):
+            m = mass.setdefault(s, {"tokens": 0, "rows": 0})
+            m["tokens"] += n
+            m["rows"] += r
+        samples = t.filter(pc.invert(t["is_mass"]))
+        kept = _keep_budget(samples if kept is None else pa.concat_tables([kept, samples]))
+    return dict(sorted(mass.items())), kept
 
 
 def train_source_group(group: pa.Table) -> pa.Table:
     """Reduce one source's sample+mass rows to (source, state, mass, rows)."""
-    source = group["source"][0].as_py()
-    mass = int(pa.compute.sum(group["mass"]).as_py() or 0)
-    rows = int(pa.compute.sum(group["rows"]).as_py() or 0)
-    pr = group["priority"].to_numpy(zero_copy_only=False)
-    is_mass = group["is_mass"].to_numpy(zero_copy_only=False)
-    chunks = group["chunk"].to_pylist()
-    sample_rows = [(p, c) for p, c, m in zip(pr, chunks, is_mass) if not m]
-    sample_rows.sort(key=lambda t: t[0])
-    lines, total = [], 0
-    for _, c in sample_rows:
-        if total >= FSST_SAMPLEMAX:
-            break
-        lines.append(c)
-        total += len(c)
-    state = train_with_ratio(lines)
+    samples = _keep_budget(group.filter(pc.invert(group["is_mass"])))
+    state = train_with_ratio(samples["chunk"].to_pylist())
     return pa.table(
         {
-            "source": pa.array([source], type=pa.string()),
+            "source": pa.array([group["source"][0].as_py()], type=pa.string()),
             "state": pa.array([state["fsst"]], type=pa.large_binary()),
             "ratio": pa.array([state["ratio"]], type=pa.float64()),
-            "mass": pa.array([mass], type=pa.int64()),
-            "rows": pa.array([rows], type=pa.int64()),
+            "mass": pa.array([pc.sum(group["mass"]).as_py() or 0], type=pa.int64()),
+            "rows": pa.array([pc.sum(group["rows"]).as_py() or 0], type=pa.int64()),
         }
     )
 
 
-def mass_partials_batch(batch: pa.Table) -> pa.Table:
-    """Pruned pass-1 phase (a): per-(block, source) token mass, row
-    count, and the block's K lowest-priority non-empty (priority,
-    doc_id) sample candidates — computed from (doc_id, n_tok, source)
-    columns only, so the read never touches token bytes."""
-    sources = batch["source"].to_numpy(zero_copy_only=False)
-    n_tok = batch["n_tok"].to_numpy(zero_copy_only=False).astype(np.int64)
-    priorities = _doc_priorities(batch["doc_id"])
-    doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)
+_train_task = ray.remote(num_cpus=1)(train_source_group)
 
-    out = {
-        "source": [],
-        "mass": [],
-        "rows": [],
-        "priority": [],
-        "is_mass": [],
-        "doc_id": [],
-        "chunk_len": [],
-    }
-    order = np.argsort(sources, kind="stable")
-    ss = sources[order]
-    bounds = np.concatenate(
-        [[0], np.flatnonzero(ss[1:] != ss[:-1]) + 1, [len(ss)]]
-    )
-    for g in range(len(bounds) - 1):
-        idx = order[bounds[g] : bounds[g + 1]]
-        source = ss[bounds[g]]
-        out["source"].append(source)
-        out["mass"].append(int(n_tok[idx].sum()))
-        out["rows"].append(len(idx))
-        out["priority"].append(0)
-        out["is_mass"].append(True)
-        out["doc_id"].append("")
-        out["chunk_len"].append(0)
-        nonempty = idx[n_tok[idx] > 0]
-        if len(nonempty) == 0:
-            continue
-        total = 0
-        for i in nonempty[np.argsort(priorities[nonempty], kind="stable")]:
-            if total >= FSST_SAMPLEMAX:
-                break
-            # the chunk the full-scan path would cut is a pure function
-            # of (n_tok, priority): compute its exact length here so
-            # candidate selection can apply the SAMPLEMAX byte budget
-            # without reading any token bytes
-            row_len = 4 * int(n_tok[i])
-            n_chunks = 1 + (row_len - 1) // FSST_SAMPLELINE
-            chunk_no = fsst_hash(int(priorities[i])) % n_chunks
-            clen = min(FSST_SAMPLELINE, row_len - FSST_SAMPLELINE * chunk_no)
-            out["source"].append(source)
-            out["mass"].append(0)
-            out["rows"].append(0)
-            out["priority"].append(int(priorities[i]))  # true priority
-            out["is_mass"].append(False)
-            out["doc_id"].append(str(doc_ids[i]))
-            out["chunk_len"].append(clen)
-            total += clen
-    return pa.table(
+
+def _group(source: str, mass: dict, kept: pa.Table | None) -> pa.Table:
+    """train_source_group's input for one source of a fold."""
+    head = pa.table(
         {
-            "source": pa.array(out["source"], type=pa.string()),
-            "mass": pa.array(out["mass"], type=pa.int64()),
-            "rows": pa.array(out["rows"], type=pa.int64()),
-            "priority": pa.array(out["priority"], type=pa.uint64()),
-            "is_mass": pa.array(out["is_mass"], type=pa.bool_()),
-            "doc_id": pa.array(out["doc_id"], type=pa.string()),
-            "chunk_len": pa.array(out["chunk_len"], type=pa.int64()),
+            "source": pa.array([source], pa.string()),
+            "priority": pa.array([0], pa.uint64()),
+            "is_mass": [True],
+            "chunk": pa.array([b""], pa.large_binary()),
+            "mass": pa.array([mass["tokens"]], pa.int64()),
+            "rows": pa.array([mass["rows"]], pa.int64()),
         }
     )
+    if kept is None:
+        return head
+    return pa.concat_tables([head, kept.filter(pc.equal(kept["source"], source))])
 
 
-def _sample_chunk(row_bytes: bytes, priority: int) -> bytes:
-    """The reference's pseudo-random 512-byte chunk of one sample row
-    (same rule as sample_and_mass_batch)."""
-    n_chunks = 1 + (len(row_bytes) - 1) // FSST_SAMPLELINE
-    chunk_no = fsst_hash(priority) % n_chunks
-    lo = FSST_SAMPLELINE * chunk_no
-    return row_bytes[lo : lo + FSST_SAMPLELINE]
-
-
-def train_states_pruned(input_path: str) -> tuple[dict[str, dict], dict[str, dict]]:
-    """Pruned two-read pass 1 over a parquet corpus path: (a) a
-    projected scan of (doc_id, n_tok, source) for exact mass + the
-    global K lowest-priority sample doc_ids per source, (b) a
-    doc_id-filtered read of only the sampled rows' tokens (parquet
-    row-group pruning bounds it to <= K row groups per source at
-    scale). Produces bit-identical states to the full-scan path —
-    same sample rule, same chunks — while reading ~0.1% of the bytes
-    at 100 TB."""
-    import pyarrow.compute as pc
-    import ray
+def train_states(ds, input_path: str | None = None, base_states: dict | None = None):
+    """Run pass 1 over `ds` (read from `input_path`, when given).
+    Returns ({source: {"fsst", "ratio"}}, {source: {"tokens", "rows"}},
+    {"route": "scan" | "pruned", "sources_trained": [...]}). Sources in
+    `base_states` keep that state; only the others are trained."""
     import ray.data as rd
 
-    tiny = rd.read_parquet(
-        input_path,
-        columns=["doc_id", "n_tok", "source"],
-        file_extensions=["parquet"],
-    ).map_batches(mass_partials_batch, batch_format="pyarrow", batch_size=None)
-
-    by_source: dict[str, dict] = {}
-    for r in tiny.iter_rows():
-        info = by_source.setdefault(
-            r["source"], {"tokens": 0, "rows": 0, "cands": []}
+    base_states = base_states or {}
+    pruned = input_path is not None and _corpus_bytes(input_path) >= PRUNED_PASS1_MIN_BYTES
+    if pruned:
+        ds = rd.read_parquet(
+            input_path, columns=["doc_id", "n_tok", "source"], file_extensions=["parquet"]
         )
-        if r["is_mass"]:
-            info["tokens"] += int(r["mass"])
-            info["rows"] += int(r["rows"])
-        else:
-            info["cands"].append((int(r["priority"]), r["doc_id"], int(r["chunk_len"])))
-    sample_ids: dict[str, int] = {}
-    for source, info in by_source.items():
-        info["cands"].sort()
-        # keep candidates by the same SAMPLEMAX byte budget the
-        # full-scan consumer applies (append while total < budget) —
-        # a count cap would under-sample short-doc sources whose
-        # chunks are < FSST_SAMPLELINE bytes
-        kept, total = [], 0
-        for pr, doc, clen in info["cands"]:
-            if total >= FSST_SAMPLEMAX:
-                break
-            kept.append((pr, doc))
-            total += clen
-        info["cands"] = kept
-        for pr, doc in kept:
-            sample_ids[doc] = pr
-
-    if sample_ids:
-        wanted = pa.array(sorted(sample_ids), type=pa.string())
-        rows = rd.read_parquet(
+    fn = _doc_candidates_batch if pruned else sample_and_mass_batch
+    blocks = ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
+    mass, kept = _fold(blocks.iter_batches(batch_format="pyarrow", batch_size=None))
+    train = [s for s in mass if s not in base_states]
+    if pruned and train:
+        # swap the kept doc_ids for their chunks: a prefix of the
+        # fetched rows is all of them, so the second fold keeps them all
+        wanted = kept.filter(pc.is_in(kept["source"], pa.array(train, pa.string())))["doc_id"]
+        fetched = rd.read_parquet(
             input_path,
             columns=["doc_id", "tokens", "source"],
-            filter=pc.field("doc_id").isin(wanted),
+            filter=pc.field("doc_id").isin(wanted.combine_chunks()),
             file_extensions=["parquet"],
-        ).take_all()
-    else:
-        rows = []
-    chunks_by_doc: dict[str, bytes] = {}
-    for r in rows:
-        raw = np.asarray(r["tokens"], dtype=np.int32).astype("<i4").tobytes()
-        chunks_by_doc[r["doc_id"]] = _sample_chunk(raw, sample_ids[r["doc_id"]])
-
-    @ray.remote(num_cpus=1)
-    def _train(samples: list[tuple[int, bytes]]) -> dict:
-        from fsst_ray.codecs.fsst_codec import train_with_ratio
-
-        lines, total = [], 0
-        for _, c in samples:
-            if total >= FSST_SAMPLEMAX:
-                break
-            lines.append(bytes(c))
-            total += len(c)
-        return train_with_ratio(lines)
-
-    sources = sorted(by_source)
-    futures = {
-        s: _train.remote(
-            [(pr, chunks_by_doc[doc]) for pr, doc in by_source[s]["cands"] if doc in chunks_by_doc]
-        )
-        for s in sources
-    }
-    states = {s: ray.get(f) for s, f in futures.items()}
-    mass = {
-        s: {"tokens": by_source[s]["tokens"], "rows": by_source[s]["rows"]}
-        for s in sources
-    }
-    return states, mass
-
-
-AUTO_GROUPBY_BLOCKS = 512  # driver reduce holds ~blocks x 32 KiB of samples
-
-
-def train_states(ds, reduce: str = "auto") -> tuple[dict[str, bytes], dict[str, dict]]:
-    """Run pass 1. Returns ({source: fsst state blob},
-    {source: {"tokens": n, "rows": n}}).
-
-    reduce="driver": collect the bounded sample output
-    (<= blocks x sources-per-block x 32 KiB) and train per source in
-    parallel ray tasks — no shuffle, ~seconds of latency saved.
-    reduce="groupby": distributed groupby reduce — driver memory is then
-    bounded by #sources, not #blocks.
-    reduce="auto" (default): driver for small inputs, groupby once the
-    input has enough blocks that the sample set would strain the driver.
-    """
-    if reduce == "auto":
-        try:
-            n_blocks = len(ds.input_files())
-        except Exception:
-            n_blocks = 0
-        reduce = "groupby" if n_blocks > AUTO_GROUPBY_BLOCKS else "driver"
-    tiny = ds.map_batches(
-        sample_and_mass_batch, batch_format="pyarrow", batch_size=None
-    )
-    if reduce == "groupby":
-        reduced = tiny.groupby("source").map_groups(train_source_group, batch_format="pyarrow")
-        out = reduced.to_pandas()  # one row per source — tiny
-        states = {
-            r.source: {"fsst": bytes(r.state), "ratio": float(r.ratio)}
-            for r in out.itertuples()
-        }
-        mass = {r.source: {"tokens": int(r.mass), "rows": int(r.rows)} for r in out.itertuples()}
-        return states, mass
-
-    import ray
-
-    rows = tiny.take_all()
-    by_source: dict[str, dict] = {}
-    for r in rows:
-        info = by_source.setdefault(r["source"], {"tokens": 0, "rows": 0, "samples": []})
-        if r["is_mass"]:
-            info["tokens"] += int(r["mass"])
-            info["rows"] += int(r["rows"])
-        else:
-            info["samples"].append((int(r["priority"]), r["chunk"]))
-
-    @ray.remote(num_cpus=1)
-    def _train(samples: list[tuple[int, bytes]]) -> dict:
-        from fsst_ray.codecs.fsst_codec import train_with_ratio
-
-        samples.sort(key=lambda t: t[0])
-        lines, total = [], 0
-        for _, c in samples:
-            if total >= FSST_SAMPLEMAX:
-                break
-            lines.append(bytes(c))
-            total += len(c)
-        return train_with_ratio(lines)
-
-    sources = sorted(by_source)
-    futures = {s: _train.remote(by_source[s]["samples"]) for s in sources}
-    states = {s: ray.get(f) for s, f in futures.items()}
-    mass = {s: {"tokens": by_source[s]["tokens"], "rows": by_source[s]["rows"]} for s in sources}
-    return states, mass
+        ).map_batches(sample_and_mass_batch, batch_format="pyarrow", batch_size=None)
+        kept = _fold(fetched.iter_batches(batch_format="pyarrow", batch_size=None))[1]
+    states = {s: base_states.get(s) for s in mass}
+    tasks = [_train_task.remote(_group(s, mass[s], kept)) for s in train]
+    for s, r in zip(train, ray.get(tasks)):
+        states[s] = {"fsst": r["state"][0].as_py(), "ratio": r["ratio"][0].as_py()}
+    return states, mass, {"route": "pruned" if pruned else "scan", "sources_trained": train}

@@ -236,15 +236,29 @@ def test_exchange_narrowing_mixed_widths_roundtrip(ray_session, tmp_path):
     assert got == want
 
 
-def test_pruned_pass1_matches_full_scan(tokens_ds, ray_session):
-    """train_states_pruned (projected mass scan + doc_id-filtered sample
-    read) must produce bit-identical states and mass to the full scan."""
-    from fsst_ray.sources.tokens import ensure_tokens_parquet
-    from fsst_ray.stages.trainer import train_states, train_states_pruned
+@pytest.fixture
+def pass1_routes(monkeypatch):
+    """train_states down both routes: the pruned-read size bound forced
+    to 1 << 62 (one scan) and to 0 (pruned reads)."""
+    from fsst_ray.stages import trainer
 
+    def run(ds, path):
+        out = {}
+        for bound, route in ((1 << 62, "scan"), (0, "pruned")):
+            monkeypatch.setattr(trainer, "PRUNED_PASS1_MIN_BYTES", bound)
+            states, mass, report = trainer.train_states(ds, path)
+            assert report == {"route": route, "sources_trained": sorted(mass)}
+            out[route] = states, mass
+        return out["scan"], out["pruned"]
+
+    return run
+
+
+def test_pruned_pass1_matches_full_scan(tokens_ds, pass1_routes):
+    """The pruned route (projected mass scan + doc_id-filtered sample
+    read) must produce bit-identical states and mass to the full scan."""
     path = ensure_tokens_parquet(SCALE)
-    s_full, m_full = train_states(tokens_ds, reduce="driver")
-    s_pruned, m_pruned = train_states_pruned(path)
+    (s_full, m_full), (s_pruned, m_pruned) = pass1_routes(tokens_ds, path)
     assert m_full == m_pruned
     assert set(s_full) == set(s_pruned)
     for source in s_full:
@@ -252,16 +266,7 @@ def test_pruned_pass1_matches_full_scan(tokens_ds, ray_session):
         assert s_full[source]["ratio"] == s_pruned[source]["ratio"], source
 
 
-def test_pruned_pass1_matches_full_scan_short_docs(ray_session, tmp_path):
-    """Short-doc corpus (chunks well under FSST_SAMPLELINE): the pruned
-    path must select candidates by the SAMPLEMAX byte budget — a
-    SAMPLE_K count cap would train on fewer bytes than the full scan
-    consumes (ADVICE r2 item 1). Also exercises more candidates than
-    SAMPLE_K being kept."""
-    import ray.data as rd
-
-    from fsst_ray.stages.trainer import SAMPLE_K, train_states, train_states_pruned
-
+def _short_docs_table() -> pa.Table:
     rng = np.random.default_rng(42)
     rows = []
     for i in range(300):
@@ -275,7 +280,7 @@ def test_pruned_pass1_matches_full_scan_short_docs(ray_session, tmp_path):
                 "source": "short",
             }
         )
-    table = pa.Table.from_pylist(
+    return pa.Table.from_pylist(
         rows,
         schema=pa.schema(
             [
@@ -286,22 +291,148 @@ def test_pruned_pass1_matches_full_scan_short_docs(ray_session, tmp_path):
             ]
         ),
     )
-    path = str(tmp_path / "short_docs")
-    import pathlib
 
-    pathlib.Path(path).mkdir()
+
+def test_pruned_pass1_matches_full_scan_short_docs(pass1_routes, tmp_path):
+    """Short-doc corpus (chunks well under FSST_SAMPLELINE): the pruned
+    route must select candidates by the SAMPLEMAX byte budget — a
+    64-row count cap would train on fewer bytes than the full scan
+    consumes. Also exercises more than 64 candidates being kept."""
     import pyarrow.parquet as pq
+    import ray.data as rd
 
-    # several files so per-block top-K union exceeds one block's K
+    table = _short_docs_table()
+    path = tmp_path / "short_docs"
+    path.mkdir()
+    # several files so the union of per-block prefixes exceeds one block's
     for part in range(3):
         pq.write_table(table.slice(part * 100, 100), f"{path}/part{part}.parquet")
 
-    ds = rd.read_parquet(path, file_extensions=["parquet"])
-    s_full, m_full = train_states(ds, reduce="driver")
-    s_pruned, m_pruned = train_states_pruned(path)
+    ds = rd.read_parquet(str(path), file_extensions=["parquet"])
+    (s_full, m_full), (s_pruned, m_pruned) = pass1_routes(ds, str(path))
     assert m_full == m_pruned
     assert s_full["short"]["fsst"] == s_pruned["short"]["fsst"]
     assert s_full["short"]["ratio"] == s_pruned["short"]["ratio"]
+
+
+def test_sample_rows_match_loop_reference():
+    """sample_and_mass_batch's vectorized rules against the per-row loop
+    they replaced: per source, non-empty rows in ascending doc priority,
+    each cut to chunk fsst_hash(priority) of its 512-byte chunks, kept
+    while the source's bytes before it are under FSST_SAMPLEMAX; plus
+    one mass row per source."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from fsst_ray.kernel.fsst import FSST_SAMPLELINE, FSST_SAMPLEMAX, fsst_hash
+    from fsst_ray.stages.trainer import _doc_priorities, sample_and_mass_batch
+
+    tokens = pq.read_table(ensure_tokens_parquet(SCALE))
+    table = pa.concat_tables([tokens, _short_docs_table().cast(tokens.schema)])
+    out = sample_and_mass_batch(table)
+
+    rows = table.to_pylist()
+    priority = [int(p) for p in _doc_priorities(table["doc_id"])]
+    want_samples, want_mass = {}, {}
+    for source in {r["source"] for r in rows}:
+        mine = [i for i, r in enumerate(rows) if r["source"] == source]
+        want_mass[source] = (sum(rows[i]["n_tok"] for i in mine), len(mine))
+        total = 0
+        for p, i in sorted((priority[i], i) for i in mine if rows[i]["tokens"]):
+            if total >= FSST_SAMPLEMAX:
+                break
+            raw = np.asarray(rows[i]["tokens"], dtype="<i4").tobytes()
+            lo = FSST_SAMPLELINE * (fsst_hash(p) % (1 + (len(raw) - 1) // FSST_SAMPLELINE))
+            want_samples.setdefault(source, []).append((p, raw[lo : lo + FSST_SAMPLELINE]))
+            total += len(want_samples[source][-1][1])
+
+    got_samples, got_mass = {}, {}
+    for r in out.filter(pc.invert(out["is_mass"])).to_pylist():
+        got_samples.setdefault(r["source"], []).append((r["priority"], r["chunk"]))
+    for r in out.filter(out["is_mass"]).to_pylist():
+        got_mass[r["source"]] = (r["mass"], r["rows"])
+    assert got_samples == want_samples
+    assert got_mass == want_mass
+
+
+def test_pass1_is_partition_independent(ray_session, tmp_path, monkeypatch):
+    """The driver folds per-block budget prefixes, which equals the
+    global prefix only if pass 1 ignores how rows are split into blocks
+    and ordered: one block, 23 blocks, reversed rows and several
+    parquet files read by the pruned route must give equal states and
+    mass (mixed long- and short-doc sources, so blocks cut their
+    candidates short)."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from fsst_ray.stages import trainer
+
+    tokens = pq.read_table(ensure_tokens_parquet(SCALE))
+    table = pa.concat_tables([tokens, _short_docs_table().cast(tokens.schema)])
+    n = table.num_rows
+    cuts = np.linspace(0, n, 24).astype(int)
+    rev = table.take(pa.array(np.arange(n)[::-1]))
+    path = tmp_path / "parts"
+    path.mkdir()
+    perm = np.random.default_rng(7).permutation(n)
+    for i, part in enumerate(np.array_split(perm, 5)):
+        pq.write_table(table.take(pa.array(part)), f"{path}/p{i}.parquet")
+
+    def run(ds, input_path=None):
+        states, mass, _ = trainer.train_states(ds, input_path)
+        return {s: (st["fsst"], st["ratio"]) for s, st in states.items()}, mass
+
+    # the driver fold over 23 blocks keeps exactly the one-block prefix
+    def samples(t):
+        return sorted(zip(*(t[c].to_pylist() for c in ("source", "priority", "chunk"))))
+
+    one = trainer.sample_and_mass_batch(table)
+    _, kept = trainer._fold(
+        trainer.sample_and_mass_batch(table.slice(a, b - a)) for a, b in zip(cuts, cuts[1:])
+    )
+    assert samples(kept) == samples(one.filter(pc.invert(one["is_mass"])))
+
+    want = run(rd.from_arrow(table))
+    assert run(rd.from_arrow([table.slice(a, b - a) for a, b in zip(cuts, cuts[1:])])) == want
+    assert run(rd.from_arrow([rev.slice(0, n // 3), rev.slice(n // 3)])) == want
+    monkeypatch.setattr(trainer, "PRUNED_PASS1_MIN_BYTES", 0)
+    assert run(None, str(path)) == want
+
+
+def test_pass1_report_trains_only_new_sources(ray_session, tmp_path):
+    """metrics["pass1"] records the route and the sources trained: a
+    base encode trains every source, an append of known sources trains
+    none (their saved states are reused), and an append carrying one
+    new source trains exactly that one."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from fsst_ray import append_dataset
+
+    full = pq.read_table(ensure_tokens_parquet(SCALE))
+    small = full.filter(pc.is_in(full["source"], pa.array(["constant", "empty", "zeros"])))
+    idx = np.arange(small.num_rows)
+    base, known, extra = (small.take(pa.array(idx[idx % 3 == k])) for k in range(3))
+    # half of the last part moves to a source the corpus has not seen
+    relabel = pa.array(np.arange(extra.num_rows) % 2 == 0)
+    extra = extra.set_column(
+        extra.schema.get_field_index("source"),
+        "source",
+        pc.if_else(relabel, pa.scalar("new-src"), extra["source"].combine_chunks()),
+    )
+    out = str(tmp_path / "enc")
+
+    res = encode_dataset(rd.from_arrow(base), out, chunk_tokens=1 << 14, bucket_tokens=1 << 15)
+    assert res.metrics["pass1"] == {
+        "route": "scan", "sources_trained": ["constant", "empty", "zeros"]
+    }
+    res = append_dataset(rd.from_arrow(known), out)
+    assert res.metrics["pass1"] == {"route": "scan", "sources_trained": []}
+    res = append_dataset(rd.from_arrow(extra), out)
+    assert res.metrics["pass1"] == {"route": "scan", "sources_trained": ["new-src"]}
+    assert "new-src" in res.bucket_plan
 
 
 def test_encode_sort_keys_permutation_regression():
@@ -820,8 +951,7 @@ def test_append_resume_finishes_crashed_generation(tokens_ds, tmp_path):
     from fsst_ray.stages.trainer import train_states
 
     base_states, _, _, config = mf.load_plan(out)
-    new_states, mass = train_states(rd.from_arrow(half_b))
-    states = {s: base_states.get(s, st) for s, st in new_states.items()}
+    states, mass, _ = train_states(rd.from_arrow(half_b), base_states=base_states)
     bucket_plan = build_bucket_plan(mass, config["bucket_tokens"])
     mf.save_plan(
         out, states, bucket_plan, mass, config,
