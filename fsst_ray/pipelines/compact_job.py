@@ -37,10 +37,11 @@ refused (the corpus was complete — that's a compaction precondition);
 appends keep working, each new generation is untouched by earlier
 compactions and is itself compactable later.
 
-Scale: each merge group is an independent task over its own files —
-`compact_corpus` fans them out as one Ray Data map over the group
-descriptors (file IO bound, no shuffle); the driver handles only
-manifest-entry-sized metadata.
+Scale: each merge group is an independent call of `_merge_group` over
+its own files (file IO bound, no shuffle), run by the per-file
+executor (executor.py): in the driver when the groups' files total at
+most its bound on disk, one Ray task per group above it. The driver
+handles only manifest-entry-sized metadata either way.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import os
 import pathlib
 
 from ..state import manifest as mf
+from . import executor
 
 _JOURNAL_GLOB = "compaction_g*.json"
 
@@ -141,43 +143,52 @@ def plan_compaction(out_dir: str, target_bytes: int = 512 << 20) -> dict:
     return {"generation": gen, "completed": False, "groups": groups}
 
 
-def _merge_group(cdir: pathlib.Path, group: dict) -> None:
-    """Concatenate the group's chunk files under the new part key.
-    Chunk payload rows are independent; only the identity columns
-    (part_key, chunk_seq) are rewritten."""
+def write_rekeyed(chunks, path, key: str, tmp_suffix: str):
+    """Write chunk rows to `path` (tmp+rename) as part `key`: part_key
+    set and chunk_seq renumbered from 0, the only columns a merge or a
+    purge rewrites. Returns the rows written."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    new_path = cdir / group["new_file"]
+    n = chunks.num_rows
+    chunks = chunks.set_column(
+        chunks.schema.get_field_index("part_key"),
+        "part_key",
+        pa.array([key] * n, pa.string()),
+    )
+    chunks = chunks.set_column(
+        chunks.schema.get_field_index("chunk_seq"),
+        "chunk_seq",
+        pa.array(range(n), pa.int32()),
+    )
+    tmp = pathlib.Path(path).with_suffix(tmp_suffix)
+    pq.write_table(chunks, tmp, compression="none")
+    os.replace(tmp, path)
+    return chunks
+
+
+def _merge_group(old_paths: list, new_path, new_key: str) -> None:
+    """Concatenate one merge group's chunk files into `new_path` under
+    `new_key`, then unlink them. Chunk payload rows are independent;
+    only the identity columns (part_key, chunk_seq) are rewritten."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    new_path = pathlib.Path(new_path)
     if not new_path.exists():
         tables = []
-        for f in group["old_files"]:
-            p = cdir / f
-            if not p.exists():
+        for p in old_paths:
+            if not os.path.exists(p):
                 raise FileNotFoundError(
                     f"compaction constituent missing: {p} (corpus modified "
                     "since the plan was journaled?)"
                 )
             tables.append(pq.read_table(p))
         t = pa.concat_tables(tables, promote_options="none")
-        n = t.num_rows
-        t = t.set_column(
-            t.schema.get_field_index("part_key"),
-            "part_key",
-            pa.array([group["new_key"]] * n, pa.string()),
-        )
-        t = t.set_column(
-            t.schema.get_field_index("chunk_seq"),
-            "chunk_seq",
-            pa.array(range(n), pa.int32()),
-        )
-        tmp = new_path.with_suffix(".parquet.ctmp")
-        pq.write_table(t, tmp, compression="none")
-        os.replace(tmp, new_path)
-    for f in group["old_files"]:
-        p = cdir / f
-        if p.exists():
-            p.unlink()
+        write_rekeyed(t, new_path, new_key, ".parquet.ctmp")
+    for p in old_paths:
+        if os.path.exists(p):
+            os.unlink(p)
 
 
 def _install_manifest(out_dir: str, journal: dict) -> None:
@@ -268,8 +279,6 @@ def _assert_corpus_complete(out_dir: str, bucket_plan: dict) -> None:
 def compact_corpus(out_dir: str, target_bytes: int = 512 << 20) -> dict:
     """Run a full compaction pass (see module docstring). Returns a
     metrics dict; a corpus with nothing to merge is a no-op."""
-    import ray.data as rd
-
     _, bucket_plan, _, config = mf.load_plan(out_dir)
     # guards corpora on disk: earlier versions could also write the
     # retired groupby and streaming modes
@@ -286,31 +295,24 @@ def compact_corpus(out_dir: str, target_bytes: int = 512 << 20) -> dict:
     mf.write_json_atomic(jp, journal)
 
     cdir = mf.chunks_dir(out_dir)
-    rd.from_items(journal["groups"]).map_batches(
-        _make_merge_fn(str(cdir)), batch_size=1, batch_format="pandas"
-    ).materialize()
+    groups = journal["groups"]
+    _, run = executor.map_files(
+        _merge_group,
+        [[str(cdir / f) for f in g["old_files"]] for g in groups],
+        [{"new_path": str(cdir / g["new_file"]), "new_key": g["new_key"]} for g in groups],
+        rewrite=True,
+    )
 
     _install_manifest(out_dir, journal)
     journal["completed"] = True
     mf.write_json_atomic(jp, journal)
     return {
         "generation": journal["generation"],
-        "groups": len(journal["groups"]),
-        "files_removed": sum(len(g["old_files"]) for g in journal["groups"]),
-        "files_written": len(journal["groups"]),
+        "groups": len(groups),
+        "files_removed": sum(len(g["old_files"]) for g in groups),
+        "files_written": len(groups),
+        "executor": run["executor"],
     }
-
-
-def _make_merge_fn(cdir: str):
-    import pandas as pd
-
-    def fn(df: "pd.DataFrame") -> "pd.DataFrame":
-        # from_items spreads each group dict's keys into columns
-        for group in df.to_dict("records"):
-            _merge_group(pathlib.Path(cdir), group)
-        return pd.DataFrame({"merged": [len(df)]})
-
-    return fn
 
 
 def assert_readable(out_dir: str) -> None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
 import pyarrow as pa
@@ -12,6 +11,7 @@ import pyarrow.compute as pc
 from ..sources.tokens import TOKENS_SCHEMA
 from ..stages.decoder import dataset_checksum, decode_chunks_batch
 from ..state import manifest as mf
+from . import executor
 
 
 def read_encoded(out_dir: str):
@@ -79,17 +79,6 @@ def verify_roundtrip(original_ds, encoded_or_dir) -> dict:
     }
 
 
-# A selective decode whose zone-pruned scan files total at most this
-# many bytes on disk runs in the driver. Set from
-# tools/executor_crossover.py (16M-token buckets, Ray at 4 CPUs on a
-# 4-core VM): point lookups ran 5.5-14x faster in the driver at every
-# scan size up to 611 MiB; a range that decodes every chunk (the
-# driver's worst case) ran 2.0x faster at 90 MiB, 1.37x at 302 MiB and
-# 0.96x at 611 MiB. The bound stays below that crossover with margin,
-# because more CPUs speed up only the Ray Data side, and it caps the
-# driver's decoded rows at about 2.3x the bound.
-_DRIVER_READ_BYTES = 256 << 20
-
 _HITS_SCHEMA = pa.schema([("part_key", pa.string()), ("chunk_seq", pa.int32())])
 
 
@@ -112,7 +101,7 @@ def _chunk_keys(table: pa.Table) -> pa.Array:
     )
 
 
-def _doc_in(values, wanted: pa.Array):
+def _is_in(values, wanted: pa.Array):
     return pc.is_in(values, value_set=wanted)
 
 
@@ -120,13 +109,15 @@ def _ntok_between(values, lo: int, hi: int):
     return pc.and_(pc.greater_equal(values, lo), pc.less_equal(values, hi))
 
 
-def find_hits(index: pa.Table, column: str, match) -> pa.Table:
-    """Phase A: the (part_key, chunk_seq) of every chunk whose per-row
-    `column` index list holds at least one value `match` accepts (an
-    exact test per row, not a min/max approximation)."""
-    col = index[column]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+def find_hits(path, column: str, match) -> pa.Table:
+    """Phase A over one chunk file: the (part_key, chunk_seq) of every
+    chunk whose per-row `column` index list holds at least one value
+    `match` accepts (an exact test per row, not a min/max
+    approximation). Reads only the index columns."""
+    import pyarrow.parquet as pq
+
+    index = pq.read_table(path, columns=["part_key", "chunk_seq", column])
+    col = index[column].combine_chunks()
     parents = pc.list_parent_indices(col).to_numpy(zero_copy_only=False)
     hit = match(pc.list_flatten(col)).to_numpy(zero_copy_only=False)
     mask = np.zeros(index.num_rows, dtype=bool)
@@ -134,15 +125,42 @@ def find_hits(index: pa.Table, column: str, match) -> pa.Table:
     return index.select(["part_key", "chunk_seq"]).filter(pa.array(mask))
 
 
-def decode_hits(chunks: pa.Table, keys: pa.Array, column: str, match) -> pa.Table:
-    """Phase B: decode only the chunk rows whose key is in `keys`, and
-    trim the decoded rows to those whose `column` value `match`
-    accepts."""
-    chunks = chunks.filter(pc.is_in(_chunk_keys(chunks), value_set=keys))
+def decode_file(path, dead, column=None, match=None, keys=None) -> pa.Table:
+    """One chunk file's live rows: the one decode body of every
+    file-subset read. Decodes only the chunks whose key is in `keys`
+    (phase B) when given, keeps the rows whose `column` value `match`
+    accepts when given, and drops the tombstoned ids in `dead`."""
+    import pyarrow.parquet as pq
+
+    from ..state.tombstones import drop_dead
+
+    chunks = pq.read_table(path)
+    if keys is not None:
+        chunks = chunks.filter(pc.is_in(_chunk_keys(chunks), value_set=keys))
     if chunks.num_rows == 0:
         return TOKENS_SCHEMA.empty_table()
     rows = decode_chunks_batch(chunks)
-    return rows.filter(match(rows[column]))
+    if match is not None:
+        rows = rows.filter(match(rows[column]))
+    return drop_dead(rows, dead)
+
+
+def _decode_files(out_dir, files, stats, **kwargs):
+    """Map `decode_file` over `files` (see executor.py for where it
+    runs) with the corpus's tombstones; records the executor and the
+    bytes read in `stats`."""
+    from ..state.tombstones import load_tombstones
+
+    rows, run = executor.map_files_to_dataset(
+        decode_file,
+        files,
+        TOKENS_SCHEMA.empty_table(),
+        dead=load_tombstones(out_dir),
+        **kwargs,
+    )
+    if stats is not None:
+        stats.update(run)
+    return rows
 
 
 def _pruned_decode(out_dir, entries, scan_entries, column, match, stats):
@@ -150,72 +168,30 @@ def _pruned_decode(out_dir, entries, scan_entries, column, match, stats):
     decode_ntok_range: phase A (`find_hits`) scans only the
     (part_key, chunk_seq, `column`) index columns of the `scan_entries`
     files — the payload column, ~99% of encoded bytes, is never read;
-    phase B (`decode_hits`) re-reads just the files holding a hit chunk
-    (the manifest's part->file map) and decodes only the hit chunks;
-    then tombstoned rows are dropped.
-
-    One path, two executors. When the scan files total at most
-    `_DRIVER_READ_BYTES` on disk, the driver runs the phase functions
-    with pyarrow and returns `rd.from_arrow` of the rows; larger scans
-    map the same functions over Ray Data reads."""
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from ..state.tombstones import drop_dead, load_tombstones
-
+    phase B (`decode_file` with the hit keys) re-reads just the files
+    holding a hit chunk (the manifest's part->file map), decodes only
+    the hit chunks and drops tombstoned rows. Each phase runs through
+    the per-file executor (executor.py): in the driver when its files
+    total at most the read bound on disk, one Ray task per file above
+    it."""
     path = mf.chunks_dir(out_dir)
     scan_files = [str(path / e["file"]) for e in scan_entries.values()]
-    scan_bytes = sum(os.path.getsize(f) for f in scan_files)
-    in_driver = scan_bytes <= _DRIVER_READ_BYTES
-    index_cols = ["part_key", "chunk_seq", column]
-    if in_driver:
-        hits = pa.concat_tables(
-            [_HITS_SCHEMA.empty_table()]
-            + [
-                find_hits(pq.read_table(f, columns=index_cols), column, match)
-                for f in scan_files
-            ]
-        )
-    else:
-        index = rd.read_parquet(
-            scan_files, file_extensions=["parquet"], columns=index_cols
-        ).map_batches(
-            find_hits,
-            fn_kwargs={"column": column, "match": match},
-            batch_format="pyarrow",
-        )
-        # driver-bounded: at most one row per hit chunk
-        hits = pa.concat_tables(
-            [_HITS_SCHEMA.empty_table()]
-            + [pa.table(b) for b in index.iter_batches(batch_format="pyarrow")]
-        )
-
+    found, scan = executor.map_files(find_hits, scan_files, column=column, match=match)
+    # driver-bounded: at most one row per hit chunk
+    hits = pa.concat_tables([_HITS_SCHEMA.empty_table(), *found])
     hit_parts = set(hits["part_key"].to_pylist())
     hit_files = [str(path / e["file"]) for k, e in entries.items() if k in hit_parts]
     if stats is not None:
-        stats["executor"] = "driver" if in_driver else "ray"
+        stats["executor"] = scan["executor"]
         stats["files_zone_scanned"] = len(scan_files)
-        stats["bytes_zone_scanned"] = scan_bytes
+        stats["bytes_zone_scanned"] = scan["bytes_read"]
         stats["files_total"] = len(entries)
         stats["files_read"] = len(hit_files)
         stats["chunks_total"] = sum(e["chunks"] for e in entries.values())
         stats["chunks_decoded"] = hits.num_rows
-    keys = _chunk_keys(hits)
-    if in_driver:
-        rows = pa.concat_tables(
-            [TOKENS_SCHEMA.empty_table()]
-            + [decode_hits(pq.read_table(f), keys, column, match) for f in hit_files]
-        )
-        return rd.from_arrow(drop_dead(rows, load_tombstones(out_dir)))
-    if not hit_files:
-        return rd.from_arrow(TOKENS_SCHEMA.empty_table())
-    rows_ds = rd.read_parquet(hit_files, file_extensions=["parquet"]).map_batches(
-        decode_hits,
-        fn_kwargs={"keys": keys, "column": column, "match": match},
-        batch_format="pyarrow",
-        batch_size=None,
+    return _decode_files(
+        out_dir, hit_files, None, column=column, match=match, keys=_chunk_keys(hits)
     )
-    return _apply_tombstones(out_dir, rows_ds)
 
 
 def decode_select(out_dir: str, doc_ids, stats: dict | None = None):
@@ -235,17 +211,17 @@ def decode_select(out_dir: str, doc_ids, stats: dict | None = None):
     - **Phase B** re-reads just the HIT bucket files, decodes only the
       hit chunks, and trims the decoded rows to the requested ids.
 
-    Small reads run in the driver: when the zone-pruned scan files
-    total at most `_DRIVER_READ_BYTES` (256 MiB) on disk, both phases
-    and the tombstone drop run in this process with pyarrow and no Ray
-    Data job starts — a point lookup then costs milliseconds, not
-    Ray's fixed cost per job. Larger scans map the same phase
-    functions over Ray Data reads. Either way the result is a Dataset.
+    Small reads run in the driver: when a phase's files total at most
+    `executor._DRIVER_READ_BYTES` (256 MiB) on disk, it runs in this
+    process with pyarrow and no Ray job starts — a point lookup then
+    costs milliseconds, not Ray's fixed cost per job. Larger phases run
+    the same per-file functions as one Ray task per file. Either way
+    the result is a Dataset.
 
     If `stats` is passed, records files_zone_scanned /
     bytes_zone_scanned / files_total / files_read / chunks_total /
-    chunks_decoded for pruning assertions, and `executor` ("driver" or
-    "ray").
+    chunks_decoded for pruning assertions, and phase A's `executor`
+    ("driver" or "ray").
     """
     wanted_sorted = sorted({str(d) for d in doc_ids})
     wanted_np = np.array(wanted_sorted)
@@ -265,7 +241,7 @@ def decode_select(out_dir: str, doc_ids, stats: dict | None = None):
         return i < len(wanted_np) and wanted_np[i] <= dmax
 
     scan_entries = {k: e for k, e in entries.items() if _zone_may_hit(e)}
-    match = functools.partial(_doc_in, wanted=pa.array(wanted_sorted, pa.string()))
+    match = functools.partial(_is_in, wanted=pa.array(wanted_sorted, pa.string()))
     return _pruned_decode(out_dir, entries, scan_entries, "doc_id", match, stats)
 
 
@@ -275,8 +251,8 @@ def decode_ntok_range(out_dir: str, lo: int, hi: int, stats: dict | None = None)
     The length-predicate sibling of `decode_select` — the read pattern
     of a curriculum / length-bucketed training selection ("decode only
     the long documents"). Same two-phase pruned read and the same two
-    executors (driver at or below `_DRIVER_READ_BYTES` of scanned files,
-    Ray Data above):
+    executors (driver at or below `executor._DRIVER_READ_BYTES` of a
+    phase's files, one Ray task per file above):
 
     - **Phase A** scans ONLY (part_key, chunk_seq, n_tok) — parquet
       projection never touches the payload column. A chunk is hit iff
@@ -327,28 +303,13 @@ def decode_generation(out_dir: str, max_gen: int, stats: dict | None = None):
     never span generations, so ONLY the selected generations' bucket
     files are opened. Tombstones still apply (current deletes filter
     every decode path — "as of generation g, minus rows since deleted";
-    documented). Raises on a compacted corpus (generations folded)."""
-    import ray.data as rd
+    documented). Raises on a compacted corpus (generations folded).
 
-    from .compact_job import assert_readable
-
-    assert_readable(out_dir)
-    path = mf.chunks_dir(out_dir)
-    entries = mf.load_manifest(out_dir)
-    files = [
-        str(path / e["file"])
-        for key, e in entries.items()
-        if generation_of_key(key) <= max_gen
-    ]
-    if stats is not None:
-        stats["files_total"] = len(entries)
-        stats["files_read"] = len(files)
-    if not files:
-        return rd.from_arrow(TOKENS_SCHEMA.empty_table())
-    rows = rd.read_parquet(
-        files, override_num_blocks=max(len(files), 1)
-    ).map_batches(decode_chunks_batch, batch_format="pyarrow", batch_size=None)
-    return _apply_tombstones(out_dir, rows)
+    If `stats` is passed, records files_total / files_read, `executor`
+    ("driver" or "ray", see executor.py) and `bytes_read`."""
+    return _decode_parts(
+        out_dir, lambda key: generation_of_key(key) <= max_gen, stats
+    )
 
 
 def decode_source(out_dir: str, sources, stats: dict | None = None):
@@ -357,33 +318,32 @@ def decode_source(out_dir: str, sources, stats: dict | None = None):
     (part_key = '{source}:...'), so the pruning is purely manifest-
     level — only the requested sources' bucket files are ever opened;
     no phase-A scan is needed at all. At 100 TB this reads exactly the
-    selected sources' share of the corpus."""
-    import ray.data as rd
-
+    selected sources' share of the corpus. Records the same `stats` as
+    `decode_generation`."""
     wanted = set(sources) if not isinstance(sources, str) else {sources}
-    path = mf.chunks_dir(out_dir)
+    # belt-and-braces: buckets are per-source, but the predicate is
+    # enforced on the decoded rows anyway
+    match = functools.partial(_is_in, wanted=pa.array(sorted(wanted), pa.string()))
+    return _decode_parts(
+        out_dir,
+        lambda key: key.split(":", 1)[0] in wanted,
+        stats,
+        column="source",
+        match=match,
+    )
+
+
+def _decode_parts(out_dir, keep_key, stats, **kwargs):
+    """Decode the bucket files whose part key `keep_key` accepts: the
+    manifest-level file filter behind decode_source and
+    decode_generation."""
     from .compact_job import assert_readable
 
     assert_readable(out_dir)
+    path = mf.chunks_dir(out_dir)
     entries = mf.load_manifest(out_dir)
-    files = [
-        str(path / e["file"])
-        for key, e in entries.items()
-        if key.split(":", 1)[0] in wanted
-    ]
+    files = [str(path / e["file"]) for key, e in entries.items() if keep_key(key)]
     if stats is not None:
         stats["files_total"] = len(entries)
         stats["files_read"] = len(files)
-    if not files:
-        return rd.from_arrow(TOKENS_SCHEMA.empty_table())
-    rows = rd.read_parquet(
-        files, override_num_blocks=max(len(files), 1)
-    ).map_batches(decode_chunks_batch, batch_format="pyarrow", batch_size=None)
-    value_set = pa.array(sorted(wanted), pa.string())
-
-    def enforce(batch: pa.Table) -> pa.Table:
-        # belt-and-braces: buckets are per-source, but enforce the
-        # predicate on decoded rows anyway
-        return batch.filter(pc.is_in(batch["source"], value_set=value_set))
-
-    return _apply_tombstones(out_dir, rows.map_batches(enforce, batch_format="pyarrow"))
+    return _decode_files(out_dir, files, stats, **kwargs)

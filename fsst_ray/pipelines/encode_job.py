@@ -682,6 +682,8 @@ def append_dataset(
         gen = latest + 1
 
     plan_file = _append_plan_path(out_dir, gen)
+    # encode_dataset's own pass-1 timer covers only taking this plan
+    t0 = time.perf_counter()
     if resume and plan_file.exists():
         states, bucket_plan, mass, saved_config = mf.load_plan(out_dir, path=plan_file)
         assert saved_config == config, (
@@ -697,6 +699,7 @@ def append_dataset(
             out_dir, states, bucket_plan, mass, config,
             path=plan_file, extra={"generation": gen, "completed": False},
         )
+    pass1_s = time.perf_counter() - t0
 
     result = encode_dataset(
         ds,
@@ -715,4 +718,5 @@ def append_dataset(
     )
     result.metrics["generation"] = gen
     result.metrics["pass1"] = pass1
+    result.metrics["timings"]["pass1_train"] = round(pass1_s, 3)
     return result

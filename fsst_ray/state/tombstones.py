@@ -29,7 +29,9 @@ tombstones clear) and is CRASH-CONVERGENT without a journal: every
 zone-hit file's manifest entry is recomputed from the file's CURRENT
 content on every run, so a rerun after any interruption lands on the
 same final state. Files that cannot contain a deleted id are never
-touched.
+touched. Each zone-hit file is one `_purge_file` call through the
+per-file executor (pipelines/executor.py): in the driver at or below
+its rewrite bound, one Ray task per file above it.
 """
 
 from __future__ import annotations
@@ -106,8 +108,6 @@ def _all_states(out_dir: str) -> dict:
     sources first seen in an append exist ONLY in that generation's
     plan file, and re-encoding them without their symbol table would
     silently fall back to a worse codec."""
-    import json
-
     from ..pipelines.encode_job import _append_generations, _append_plan_path
 
     base_states, _, _, _ = mf.load_plan(out_dir)
@@ -155,25 +155,57 @@ def _entry_from_chunks(key: str, old: dict, chunks: pa.Table) -> dict:
     return new_e
 
 
+def _purge_file(path, key, entry, dead, states, chunk_tokens, codecs) -> dict:
+    """Purge one zone-hit chunk file: decode, drop the ids in `dead`,
+    re-encode with `states` and replace the file (tmp+rename). Returns
+    the file's result row: its key, its manifest entry recomputed from
+    the file's current content, the rows purged and the action taken
+    ("rewrite", or "refresh" when no row was dead)."""
+    import pyarrow.parquet as pq
+
+    from ..functions.dedup import sorted_isin
+    from ..pipelines.compact_job import write_rekeyed
+    from ..stages.decoder import decode_chunks_batch
+    from ..stages.encoder import encode_rows_to_chunks
+
+    raw = pq.read_table(path)
+    rows = decode_chunks_batch(raw)
+    hit = sorted_isin(dead, rows["doc_id"].to_numpy(zero_copy_only=False))
+    if not hit.any():
+        # crash convergence: a prior interrupted purge may have
+        # rewritten this file without updating its entry — recompute
+        # from current content either way
+        entry = _entry_from_chunks(key, entry, raw)
+        return {"key": key, "entry": entry, "purged": 0, "action": "refresh"}
+    keep = rows.filter(pa.array(~hit))
+    if keep.num_rows == 0:
+        # every row tombstoned: the file becomes an EMPTY chunk file
+        # (schema preserved via slice(0)) rather than being unlinked —
+        # the part key stays in the manifest so the corpus-completeness
+        # invariant holds for resume/compact, and the tmp+rename keeps
+        # this path crash-convergent
+        chunks = raw.slice(0, 0)
+    else:
+        chunks = encode_rows_to_chunks(keep, states, None, chunk_tokens, codecs)
+    chunks = write_rekeyed(chunks, path, key, ".parquet.tmp")
+    entry = _entry_from_chunks(key, entry, chunks)
+    return {"key": key, "entry": entry, "purged": int(hit.sum()), "action": "rewrite"}
+
+
 def purge_deletes(out_dir: str) -> dict:
-    """Materialize tombstones (see module docstring): zone-pruned,
-    Ray-parallel per-file decode -> filter -> re-encode; a fully
+    """Materialize tombstones (see module docstring): zone-pruned
+    per-file decode -> filter -> re-encode (`_purge_file`, run by the
+    per-file executor: in the driver when the zone-hit files total at
+    most its bound on disk, one Ray task per file above it); a fully
     tombstoned file becomes an EMPTY chunk file (its part key stays in
     the manifest, preserving the corpus-completeness invariant, and the
     tmp+rename keeps the path crash-convergent); entries of every
     zone-hit file are recomputed from current content. Only the delete
     batches snapshotted at the start are cleared — a concurrent
     delete_docs landing mid-purge survives for the next one. Returns
-    counts."""
-    import json
-
-    import ray
-    import ray.data as rd
-
-    from ..functions.dedup import sorted_isin
+    counts and the `executor` that ran the rewrite."""
+    from ..pipelines import executor
     from ..pipelines.compact_job import _assert_corpus_complete, assert_readable
-    from ..stages.decoder import decode_chunks_batch
-    from ..stages.encoder import encode_rows_to_chunks
 
     # an interrupted compaction's manifest may reference superseded
     # files; an incomplete encode/append may have orphan chunk files a
@@ -188,7 +220,6 @@ def purge_deletes(out_dir: str) -> dict:
         return {"purged_rows": 0, "files_rewritten": 0}
     _, bucket_plan, _, config = mf.load_plan(out_dir)
     _assert_corpus_complete(out_dir, bucket_plan)
-    states = _all_states(out_dir)
     # snapshot the sidecar list BEFORE loading: a concurrent append's
     # entry written after this point must survive the consolidation
     sidecars = mf.manifest_sidecars(out_dir)
@@ -202,100 +233,31 @@ def purge_deletes(out_dir: str) -> dict:
         i = int(np.searchsorted(dead, dmin, side="left"))
         return i < len(dead) and dead[i] <= dmax
 
-    victims = [
-        {"key": k, "entry_json": json.dumps(e)}
-        for k, e in sorted(entries.items())
-        if may_hit(e)
-    ]
+    victims = {k: e for k, e in sorted(entries.items()) if may_hit(e)}
     if not victims:
         for f in batch_files:
             f.unlink(missing_ok=True)
         return {"purged_rows": 0, "files_rewritten": 0}
-    states_ref = ray.put(states)
-    dead_ref = ray.put(dead)
-    chunk_tokens = config["chunk_tokens"]
-    codecs = tuple(config["codecs"])
-    cdir_s = str(cdir)
-
-    def rewrite(df):
-        import pandas as pd
-        import pyarrow.parquet as pq
-
-        d = ray.get(dead_ref)
-        out_rows = []
-        for rec in df.to_dict("records"):
-            key, e = rec["key"], json.loads(rec["entry_json"])
-            path = pathlib.Path(cdir_s) / e["file"]
-            raw = pq.read_table(path)
-            rows = decode_chunks_batch(raw)
-            ids = rows["doc_id"].to_numpy(zero_copy_only=False)
-            hit = sorted_isin(d, ids)
-            if not hit.any():
-                # crash convergence: a prior interrupted purge may have
-                # rewritten this file without updating its entry —
-                # recompute from current content either way
-                out_rows.append(
-                    {
-                        "key": key,
-                        "entry_json": json.dumps(_entry_from_chunks(key, e, raw)),
-                        "purged": 0,
-                        "action": "refresh",
-                    }
-                )
-                continue
-            keep = rows.filter(pa.array(~hit))
-            if keep.num_rows == 0:
-                # every row tombstoned: the file becomes an EMPTY chunk
-                # file (schema preserved via slice(0)) rather than being
-                # unlinked — the part key stays in the manifest so the
-                # corpus-completeness invariant holds for resume/compact,
-                # and the tmp+rename keeps this path crash-convergent
-                chunks = raw.slice(0, 0)
-            else:
-                chunks = encode_rows_to_chunks(
-                    keep, ray.get(states_ref), None, chunk_tokens, codecs
-                )
-            n = chunks.num_rows
-            chunks = chunks.set_column(
-                chunks.schema.get_field_index("part_key"),
-                "part_key",
-                pa.array([key] * n, pa.string()),
-            )
-            chunks = chunks.set_column(
-                chunks.schema.get_field_index("chunk_seq"),
-                "chunk_seq",
-                pa.array(range(n), pa.int32()),
-            )
-            tmp = path.with_suffix(".parquet.tmp")
-            pq.write_table(chunks, tmp, compression="none")
-            os.replace(tmp, path)
-            out_rows.append(
-                {
-                    "key": key,
-                    "entry_json": json.dumps(_entry_from_chunks(key, e, chunks)),
-                    "purged": int(hit.sum()),
-                    "action": "rewrite",
-                }
-            )
-        return pd.DataFrame(out_rows)
-
-    results = (
-        rd.from_items(victims)
-        .map_batches(rewrite, batch_size=1, batch_format="pandas")
-        .take_all()
+    results, run = executor.map_files(
+        _purge_file,
+        [str(cdir / e["file"]) for e in victims.values()],
+        [{"key": k, "entry": e} for k, e in victims.items()],
+        rewrite=True,
+        dead=dead,
+        states=_all_states(out_dir),
+        chunk_tokens=config["chunk_tokens"],
+        codecs=tuple(config["codecs"]),
     )
-    purged_rows = 0
-    rewritten = 0
     for r in results:
-        purged_rows += int(r["purged"])
-        if r["entry_json"]:
-            entries[r["key"]] = json.loads(r["entry_json"])
-            if r["action"] == "rewrite":
-                rewritten += 1
+        entries[r["key"]] = r["entry"]
     mf.consolidate_manifest(out_dir, entries, sidecars)
     for f in batch_files:
         f.unlink(missing_ok=True)
-    return {"purged_rows": purged_rows, "files_rewritten": rewritten}
+    return {
+        "purged_rows": sum(r["purged"] for r in results),
+        "files_rewritten": sum(r["action"] == "rewrite" for r in results),
+        "executor": run["executor"],
+    }
 
 
 def _upsert_dir(out_dir: str) -> pathlib.Path:

@@ -178,12 +178,9 @@ def test_base_resume_refused_after_compaction(tokens_full, tmp_path, ray_session
 def test_merge_group_missing_constituent_raises(tmp_path):
     with pytest.raises(FileNotFoundError, match="constituent missing"):
         _merge_group(
-            tmp_path,
-            {
-                "new_key": "x:c1-00000",
-                "new_file": "x_c1-00000.parquet",
-                "old_files": ["gone.parquet"],
-            },
+            [str(tmp_path / "gone.parquet")],
+            tmp_path / "x_c1-00000.parquet",
+            "x:c1-00000",
         )
 
 

@@ -794,7 +794,7 @@ def test_selective_decode_executors_agree(tombstoned_corpus, monkeypatch):
     read_parquet is disabled while the bound is forced up."""
     import ray.data
 
-    from fsst_ray.pipelines import decode_job
+    from fsst_ray.pipelines import executor
 
     read_parquet = ray.data.read_parquet
 
@@ -805,7 +805,7 @@ def test_selective_decode_executors_agree(tombstoned_corpus, monkeypatch):
     for name, (run, want) in _selections(out, src, dead).items():
         seen = {}
         for bound, reader in ((1 << 40, no_read), (0, read_parquet)):
-            monkeypatch.setattr(decode_job, "_DRIVER_READ_BYTES", bound)
+            monkeypatch.setattr(executor, "_DRIVER_READ_BYTES", bound)
             monkeypatch.setattr(ray.data, "read_parquet", reader)
             stats: dict = {}
             got = _collect(run(stats))
@@ -825,6 +825,118 @@ def test_selective_decode_executors_agree(tombstoned_corpus, monkeypatch):
             assert driver["files_read"] == 0, driver
         else:
             assert driver["files_read"] > 0, driver
+
+
+@pytest.fixture(scope="module")
+def appended_corpus(tokens_ds, tmp_path_factory):
+    """Base encode of the even rows plus one fresh append of the odd
+    rows, with every 7th id deleted; returns (out, the live rows sorted
+    by doc_id, the append's EncodeResult). Copy it before changing it."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from fsst_ray import append_dataset
+    from fsst_ray.state.tombstones import delete_docs
+
+    src = tokens_table(SCALE)
+    idx = np.arange(src.num_rows)
+    out = str(tmp_path_factory.mktemp("appended") / "enc")
+    encode_dataset(
+        rd.from_arrow(src.take(pa.array(idx[idx % 2 == 0]))),
+        out,
+        chunk_tokens=1 << 14,
+        bucket_tokens=1 << 15,
+    )
+    res = append_dataset(rd.from_arrow(src.take(pa.array(idx[idx % 2 == 1]))), out)
+    dead = src["doc_id"].to_pylist()[::7]
+    delete_docs(out, dead)
+    live = src.filter(pc.invert(pc.is_in(src["doc_id"], pa.array(dead))))
+    return out, live.sort_by("doc_id"), res
+
+
+def test_append_reports_pass1_time(appended_corpus):
+    """An append runs pass 1 itself, so its timings report that cost
+    rather than encode_dataset's near-zero time to take the plan."""
+    _, _, res = appended_corpus
+    assert res.metrics["pass1"]["route"] == "scan"
+    assert res.metrics["timings"]["pass1_train"] > 0
+
+
+def _chunk_bytes(out) -> dict:
+    return {f.name: f.read_bytes() for f in mf.chunks_dir(out).glob("*.parquet")}
+
+
+def test_rewrite_jobs_executors_agree(appended_corpus, tmp_path, monkeypatch):
+    """decode_source, decode_generation, purge_deletes and
+    compact_corpus give the same rows, results, manifest entries and
+    chunk-file bytes whether the per-file executor runs them in the
+    driver (bound forced up) or as Ray tasks (bound forced to 0). The
+    driver side starts no Ray Data job and no Ray task."""
+    import shutil
+
+    import pyarrow.compute as pc
+    import ray
+    import ray.data
+
+    from fsst_ray import compact_corpus, decode_generation, decode_source, purge_deletes
+    from fsst_ray.pipelines import executor
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Ray job started below the driver bound")
+
+    base, live, _ = appended_corpus
+    seen = {}
+    for name, bound in (("driver", 1 << 40), ("ray", 0)):
+        out = str(tmp_path / name)
+        shutil.copytree(base, out)
+        got = {}
+        with monkeypatch.context() as m:
+            m.setattr(executor, "_DRIVER_READ_BYTES", bound)
+            m.setattr(executor, "_DRIVER_REWRITE_BYTES", bound)
+            if name == "driver":
+                for fn in ("read_parquet", "from_items", "read_parquet_bulk"):
+                    m.setattr(ray.data, fn, refuse)
+                m.setattr(ray, "remote", refuse)
+            for key, run in (
+                ("source", lambda st: decode_source(out, ["english"], stats=st)),
+                ("gen0", lambda st: decode_generation(out, 0, stats=st)),
+                ("gen1", lambda st: decode_generation(out, 1, stats=st)),
+                ("none", lambda st: decode_source(out, ["nope"], stats=st)),
+            ):
+                stats: dict = {}
+                got[key] = (_collect(run(stats)), stats)
+            got["purge"] = purge_deletes(out)
+            got["compact"] = compact_corpus(out, target_bytes=512 << 20)
+        got["rows"] = _collect(decode_dataset(out))
+        got["entries"] = mf.load_manifest(out)
+        got["files"] = _chunk_bytes(out)
+        seen[name] = got
+
+    driver, ray_side = seen["driver"], seen["ray"]
+    for key in ("source", "gen0", "gen1", "none"):
+        (d_rows, d_stats), (r_rows, r_stats) = driver[key], ray_side[key]
+        assert d_rows.equals(r_rows), key
+        assert d_stats.pop("executor") == "driver", key
+        # nothing to read is zero bytes: at or below any bound
+        reads = r_stats["files_read"] > 0
+        assert r_stats.pop("executor") == ("ray" if reads else "driver"), key
+        assert d_stats == r_stats, key
+        assert (d_stats["bytes_read"] > 0) == reads, key
+    assert driver["source"][0].equals(
+        live.filter(pc.equal(live["source"], "english"))
+    )
+    assert driver["gen1"][0].equals(live)
+    assert 0 < driver["gen0"][0].num_rows < live.num_rows
+    assert driver["none"][0].num_rows == 0
+    for job in ("purge", "compact"):
+        assert driver[job].pop("executor") == "driver", job
+        assert ray_side[job].pop("executor") == "ray", job
+        assert driver[job] == ray_side[job], job
+    assert driver["purge"]["purged_rows"] > 0
+    assert driver["compact"]["groups"] > 0
+    assert driver["entries"] == ray_side["entries"]
+    assert driver["files"] == ray_side["files"]
+    assert driver["rows"].equals(live) and ray_side["rows"].equals(live)
 
 
 def test_append_dataset_incremental_ingest(tokens_ds, tmp_path):

@@ -1,10 +1,12 @@
-"""Where the driver and Ray Data executors of a selective decode cross.
+"""Where the driver and Ray executors of per-file corpus jobs cross.
 
-`decode_select` and `decode_ntok_range` run in the driver when their
-zone-pruned scan files total at most `decode_job._DRIVER_READ_BYTES`
-bytes, and over Ray Data above it. This tool times each read on one
-encoded corpus with the bound forced both ways, so the bound can be set
-from where the two executors cross:
+Every per-file job runs through `fsst_ray/pipelines/executor.py`: in
+the driver when its files total at most a byte bound on disk, one Ray
+task per file above it. This tool times jobs on one encoded corpus
+with the bound forced both ways, so the bounds can be set from where
+the two executors cross.
+
+Reads (`executor._DRIVER_READ_BYTES`):
 
 - a 4-id lookup into each source, then one id from each of the 2, 4
   and 8 largest sources (the scan grows with the sources' files);
@@ -12,13 +14,22 @@ from where the two executors cross:
   (the scan is the whole corpus; the second decodes every chunk, the
   driver's worst case).
 
+Rewrites (`executor._DRIVER_REWRITE_BYTES`), each run on a fresh copy
+of the corpus under --work:
+
+- `purge_deletes` after 200 deletes spread over all sources (the
+  zone maps then hit nearly every file);
+- `compact_corpus` after 3 appends of scale-1 token rows under fresh
+  id prefixes (every source's files merge into one).
+
 Usage:
   python -c "from fsst_ray.sources.tokens import ensure_tokens_parquet as e; print(e(100))"
   python -m fsst_ray encode --input <that dir> --output /tmp/enc100 --num-cpus 4
-  python tools/executor_crossover.py --encoded /tmp/enc100 --cpus 4 [--reps 3]
+  python tools/executor_crossover.py --encoded /tmp/enc100 --cpus 4 [--reps 3] \
+      [--jobs reads,rewrites] [--work DIR]
 
-Prints one JSON line per read: scan MiB, rows, median seconds of each
-executor over --reps runs, and ray_s / driver_s.
+Prints one JSON line per job: MiB on disk, rows (reads), median
+seconds of each executor over --reps runs, and ray_s / driver_s.
 """
 
 from __future__ import annotations
@@ -26,8 +37,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -42,6 +55,8 @@ def main() -> None:
     ap.add_argument("--encoded", required=True)
     ap.add_argument("--cpus", type=int, default=4)
     ap.add_argument("--reps", type=int, default=3)
+    ap.add_argument("--jobs", default="reads,rewrites")
+    ap.add_argument("--work", default=tempfile.gettempdir())
     args = ap.parse_args()
 
     import ray
@@ -50,7 +65,7 @@ def main() -> None:
     ray.data.DataContext.get_current().enable_progress_bars = False
 
     from fsst_ray import decode_ntok_range, decode_select
-    from fsst_ray.pipelines import decode_job
+    from fsst_ray.pipelines import executor
     from fsst_ray.state import manifest as mf
 
     enc = args.encoded
@@ -96,7 +111,7 @@ def main() -> None:
         return sum(t.num_rows for t in ray.get(ds.to_arrow_refs()))
 
     def timed(kind, arg, bound):
-        decode_job._DRIVER_READ_BYTES = bound
+        executor._DRIVER_READ_BYTES = bound
         times, stats = [], {}
         for _ in range(args.reps):
             t0 = time.perf_counter()
@@ -104,10 +119,13 @@ def main() -> None:
             times.append(time.perf_counter() - t0)
         return statistics.median(times), rows, stats
 
-    # warm both executors once (page cache, C kernel, Ray Data workers)
-    for bound in (0, 1 << 40):
-        decode_job._DRIVER_READ_BYTES = bound
-        run(*reads[-2][1:], {})
+    if "reads" in args.jobs:
+        # warm both executors once (page cache, C kernel, Ray workers)
+        for bound in (0, 1 << 40):
+            executor._DRIVER_READ_BYTES = bound
+            run(*reads[-2][1:], {})
+    else:
+        reads = []
 
     for name, kind, arg in reads:
         driver_s, rows, stats = timed(kind, arg, 1 << 40)
@@ -123,7 +141,63 @@ def main() -> None:
             "ray_s": round(ray_s, 3),
             "ray_over_driver": round(ray_s / driver_s, 2),
         }), flush=True)
+    if "rewrites" in args.jobs:
+        time_rewrites(args, enc, sources, ids_of)
     ray.shutdown()
+
+
+def time_rewrites(args, enc, sources, ids_of) -> None:
+    import ray.data as rd
+
+    from fsst_ray import append_dataset, compact_corpus, delete_docs, purge_deletes, tokens_table
+    from fsst_ray.pipelines import executor
+    from fsst_ray.state import manifest as mf
+
+    work = tempfile.mkdtemp(prefix="xover_", dir=args.work)
+    per_source = -(-200 // len(sources))
+    victims = sorted(i for s in sources for i in ids_of(s, per_source))[:200]
+    appended = os.path.join(work, "appended")
+    shutil.copytree(enc, appended)
+    extra = tokens_table(1)
+    for g in range(3):
+        ids = pc.binary_join_element_wise(f"x{g}", extra["doc_id"], "-")
+        col = extra.schema.get_field_index("doc_id")
+        append_dataset(rd.from_arrow(extra.set_column(col, "doc_id", ids)), appended)
+
+    def purge(d):
+        delete_docs(d, victims)
+        return lambda: purge_deletes(d)
+
+    def compact(d):
+        return lambda: compact_corpus(d)
+
+    for name, src, prepare in (("purge", enc, purge), ("compact", appended, compact)):
+        seen = {}
+        for side, bound in (("driver", 1 << 40), ("ray", 0)):
+            executor._DRIVER_REWRITE_BYTES = bound
+            times = []
+            for _ in range(args.reps):
+                d = os.path.join(work, "run")
+                shutil.copytree(src, d)
+                job = prepare(d)
+                t0 = time.perf_counter()
+                res = job()
+                times.append(time.perf_counter() - t0)
+                shutil.rmtree(d)
+            assert res.pop("executor") == side, (name, side)
+            seen[side] = (statistics.median(times), res)
+        assert seen["driver"][1] == seen["ray"][1], (name, seen)
+        mib = sum(f.stat().st_size for f in mf.chunks_dir(src).glob("*.parquet"))
+        print(json.dumps({
+            "cpus": args.cpus,
+            "job": name,
+            "corpus_mib": round(mib / 2**20, 1),
+            "result": seen["driver"][1],
+            "driver_s": round(seen["driver"][0], 3),
+            "ray_s": round(seen["ray"][0], 3),
+            "ray_over_driver": round(seen["ray"][0] / seen["driver"][0], 2),
+        }), flush=True)
+    shutil.rmtree(work)
 
 
 if __name__ == "__main__":
