@@ -172,8 +172,8 @@ def _pruned_decode(out_dir, entries, scan_entries, column, match, stats):
     holding a hit chunk (the manifest's part->file map), decodes only
     the hit chunks and drops tombstoned rows. Each phase runs through
     the per-file executor (executor.py): in the driver when its files
-    total at most the read bound on disk, one Ray task per file above
-    it."""
+    total at most the read bound on disk; above it phase A runs one Ray
+    task per file and phase B is a lazy Ray Data map over the files."""
     path = mf.chunks_dir(out_dir)
     scan_files = [str(path / e["file"]) for e in scan_entries.values()]
     found, scan = executor.map_files(find_hits, scan_files, column=column, match=match)
@@ -212,10 +212,10 @@ def decode_select(out_dir: str, doc_ids, stats: dict | None = None):
       hit chunks, and trims the decoded rows to the requested ids.
 
     Small reads run in the driver: when a phase's files total at most
-    `executor._DRIVER_READ_BYTES` (256 MiB) on disk, it runs in this
-    process with pyarrow and no Ray job starts — a point lookup then
-    costs milliseconds, not Ray's fixed cost per job. Larger phases run
-    the same per-file functions as one Ray task per file. Either way
+    `executor._DRIVER_READ_BYTES` on disk, it runs in this process with
+    pyarrow and no Ray job starts — a point lookup then costs
+    milliseconds, not Ray's fixed cost per job. Larger phases run the
+    same per-file functions on Ray (see `_pruned_decode`). Either way
     the result is a Dataset.
 
     If `stats` is passed, records files_zone_scanned /
@@ -252,7 +252,7 @@ def decode_ntok_range(out_dir: str, lo: int, hi: int, stats: dict | None = None)
     of a curriculum / length-bucketed training selection ("decode only
     the long documents"). Same two-phase pruned read and the same two
     executors (driver at or below `executor._DRIVER_READ_BYTES` of a
-    phase's files, one Ray task per file above):
+    phase's files, Ray above):
 
     - **Phase A** scans ONLY (part_key, chunk_seq, n_tok) — parquet
       projection never touches the payload column. A chunk is hit iff

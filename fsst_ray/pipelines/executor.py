@@ -7,41 +7,54 @@ here. Extra arguments are passed as keyword arguments, never captured.
 When the files total at most a byte bound on disk (one `os.stat`
 each), the driver calls the function on each file in turn and no Ray
 job starts, so a small job costs its compute, not Ray's fixed cost per
-job. Above the bound, one Ray task runs per file. The function, its
+job. Above the bound, one Ray task runs per file: `map_files` runs
+them at once and returns their results, `map_files_to_dataset` returns
+a lazy Ray Data map that streams them. The function, its
 arguments and its results are the same either way: callers never
 branch on the executor, they only record it.
 
 The full-corpus scan (`decode_job.decode_dataset`) and the encode
-writers stay on Ray: a decode in the driver would hold the whole
-corpus in one process.
+writers stay on Ray Data and actors: a decode in the driver would hold
+the whole corpus in one process.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 import pyarrow as pa
 
-# Reads (selective, per-source and per-generation decodes). Set from
-# tools/executor_crossover.py against Ray Data maps, the Ray side
-# before one task per file (16M-token buckets, Ray at 4 CPUs on a
-# 4-core VM): point lookups ran 5.5-14x faster in the driver at every
-# scan size up to 611 MiB; a range that decodes every chunk (the
-# driver's worst case) ran 2.0x faster at 90 MiB, 1.37x at 302 MiB and
-# 0.96x at 611 MiB. The bound stays below that crossover with margin,
-# because more CPUs speed up only the Ray side, and it caps the
-# driver's decoded rows at about 2.3x the bound.
-_DRIVER_READ_BYTES = 256 << 20
+# Both bounds follow one rule, from tools/executor_crossover.py
+# (EXECUTOR_CROSSOVER.json: 16M-token buckets, Ray local mode on a
+# 4-core VM). Each job ran with warm Ray workers and with cold ones (a
+# fresh Ray instance, as the first job of a CLI command meets them).
+# Take the job of its kind that gains most from Ray, at 4 CPUs with
+# cold workers. The crossover is the size at which that job stops
+# running faster in the driver. The bound is the largest power of two
+# at most half of it: more CPUs speed up only the Ray side. Below the
+# bound the driver gives up at most about one worker start-up to warm
+# workers. At 1 CPU the driver won every read and every rewrite below
+# 10 MiB, and Ray tasks ran no rewrite more than 15 % faster above it.
+# 32 CPUs were not measured.
 
-# Rewrites (purge and compaction) write as well as read, and the Ray
-# side runs their files in parallel, so they cross far lower. Measured
-# with tools/executor_crossover.py (EXECUTOR_CROSSOVER.json; 8-15
-# files a job): at 4 CPUs one Ray task per file beat the driver at
-# every size, from 0.71x the driver's time on a 0.9 MiB purge and a
-# 9.8 MiB compaction down to 0.31x (purge) and 0.39x (compaction) at
-# about 300 MiB; at 1 CPU the driver won below 10 MiB (about 1.5x) and
-# the two tied above. The bound sits below the smallest size measured.
-_DRIVER_REWRITE_BYTES = 512 << 10
+# Reads (selective, per-source and per-generation decodes). A range
+# over every n_tok decodes every chunk, the driver's worst case. Cold,
+# it took 2.61 s in the driver against 3.04 s on Ray at 89.5 MiB, and
+# 6.10 against 4.78 s at 302 MiB, so it crosses near 140 MiB. Warm,
+# Ray won from between 30 and 90 MiB. Point lookups ran faster in the
+# driver at every size up to 302 MiB, warm or cold. A driver-side read
+# still builds its Dataset on Ray, so cold workers cost both sides.
+_DRIVER_READ_BYTES = 64 << 20
+
+# Rewrites. Purge decodes, filters and re-encodes each file, so it
+# crosses first. Cold, it took 0.82 s in the driver against 0.93 s on
+# Ray at 29.7 MiB, and 3.23 against 1.81 s at 89.5 MiB, so it crosses
+# near 34 MiB. Compaction only concatenates chunk rows and crosses
+# near 220 MiB cold (0.55 against 1.00 s at 98 MiB, 1.37 against
+# 1.05 s at 311 MiB). Warm Ray tasks tied or beat the driver on both
+# jobs at every size from 0.1 MiB up.
+_DRIVER_REWRITE_BYTES = 16 << 20
 
 
 def _nbytes(files) -> int:
@@ -52,21 +65,19 @@ def _nbytes(files) -> int:
     return os.stat(files).st_size
 
 
-def _start(fn, files, each, bound, kwargs):
-    """The one driver-or-Ray rule. Returns the per-file results (values
-    in the driver, object refs on Ray) and {"executor", "bytes_read"}."""
+def _plan(files, bound: int) -> dict:
+    """The one driver-or-Ray rule: how a job over `files` runs
+    ({"executor": "driver"|"ray", "bytes_read": on-disk bytes})."""
     nbytes = sum(_nbytes(f) for f in files)
-    each = [{}] * len(files) if each is None else each
-    if nbytes <= bound:
-        outs = [fn(f, **e, **kwargs) for f, e in zip(files, each)]
-        return outs, {"executor": "driver", "bytes_read": nbytes}
+    return {"executor": "driver" if nbytes <= bound else "ray", "bytes_read": nbytes}
+
+
+@functools.lru_cache(maxsize=None)
+def _task(fn):
+    """`fn` as a Ray task, built and exported once per function."""
     import ray
 
-    task = ray.remote(num_cpus=1)(fn)
-    # one object-store copy of each shared argument, not one per task
-    shared = {k: ray.put(v) for k, v in kwargs.items()}
-    outs = [task.remote(f, **e, **shared) for f, e in zip(files, each)]
-    return outs, {"executor": "ray", "bytes_read": nbytes}
+    return ray.remote(num_cpus=1)(fn)
 
 
 def map_files(fn, files, each=None, *, rewrite=False, **kwargs) -> tuple[list, dict]:
@@ -74,24 +85,42 @@ def map_files(fn, files, each=None, *, rewrite=False, **kwargs) -> tuple[list, d
     ({"executor": "driver"|"ray", "bytes_read": on-disk bytes}).
     `each` holds per-file keyword arguments (default: none); `rewrite`
     jobs (purge, compaction) use the rewrite bound."""
-    bound = _DRIVER_REWRITE_BYTES if rewrite else _DRIVER_READ_BYTES
-    outs, run = _start(fn, files, each, bound, kwargs)
-    if run["executor"] == "ray":
-        import ray
+    run = _plan(files, _DRIVER_REWRITE_BYTES if rewrite else _DRIVER_READ_BYTES)
+    each = [{}] * len(files) if each is None else each
+    if run["executor"] == "driver":
+        return [fn(f, **e, **kwargs) for f, e in zip(files, each)], run
+    import ray
 
-        outs = ray.get(outs)
-    return outs, run
+    # one object-store copy of each shared argument, not one per task
+    shared = {k: ray.put(v) for k, v in kwargs.items()}
+    task = _task(fn)
+    return ray.get([task.remote(f, **e, **shared) for f, e in zip(files, each)]), run
+
+
+def _call_on_path(batch: pa.Table, fn, kwargs) -> pa.Table:
+    """One Ray Data batch holds one file's path: `fn` of that path."""
+    return fn(batch["path"][0].as_py(), **kwargs)
 
 
 def map_files_to_dataset(fn, files, empty: pa.Table, **kwargs):
     """A Dataset of the Arrow tables `fn(path, **kwargs)` returns per
     file (`empty` fixes the schema when there are none) and how it ran.
-    In the driver the tables are concatenated into one block; on Ray
-    the task outputs stay in the object store as the Dataset's blocks,
-    so the driver never holds them."""
+    At or below the read bound the driver concatenates the tables into
+    one block. Above it the Dataset is a lazy Ray Data map of `fn` over
+    the paths, one block per file: nothing runs until it is consumed,
+    and Ray Data's backpressure bounds the decoded blocks in flight, so
+    neither the driver nor the object store holds every file at once."""
     import ray.data as rd
 
-    outs, run = _start(fn, files, None, _DRIVER_READ_BYTES, kwargs)
+    run = _plan(files, _DRIVER_READ_BYTES)
     if run["executor"] == "driver":
-        return rd.from_arrow(pa.concat_tables([empty, *outs])), run
-    return rd.from_arrow_refs(outs), run
+        tables = [fn(f, **kwargs) for f in files]
+        return rd.from_arrow(pa.concat_tables([empty, *tables])), run
+    paths = rd.from_items([{"path": f} for f in files], override_num_blocks=len(files))
+    rows = paths.map_batches(
+        _call_on_path,
+        batch_size=1,
+        batch_format="pyarrow",
+        fn_kwargs={"fn": fn, "kwargs": kwargs},
+    )
+    return rows, run

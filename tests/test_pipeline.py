@@ -786,29 +786,47 @@ def _collect(ds) -> pa.Table:
     ).sort_by("doc_id")
 
 
-def test_selective_decode_executors_agree(tombstoned_corpus, monkeypatch):
-    """The driver executor (scan bytes at or below _DRIVER_READ_BYTES)
-    and the Ray Data executor return the same rows and the same stats,
-    apart from `executor`, for decode_select and decode_ntok_range.
-    Below the bound the driver reads the files itself: Ray Data's
-    read_parquet is disabled while the bound is forced up."""
+def _refuse_ray_jobs(m) -> None:
+    """Within monkeypatch context `m`, make every way the per-file
+    executor could start Ray work raise: Ray Data reads and item lists,
+    and any new Ray remote function (its cached tasks are dropped).
+    `ray.data.from_arrow`, which wraps a driver result as a Dataset,
+    runs Ray Data's own cached metadata task, so that task is built
+    before `ray.remote` is refused."""
+    import ray
     import ray.data
 
     from fsst_ray.pipelines import executor
 
-    read_parquet = ray.data.read_parquet
+    ray.data.from_arrow(pa.table({"x": [0]}))
+    executor._task.cache_clear()
 
-    def no_read(*args, **kwargs):
-        raise AssertionError("ray.data.read_parquet called below the driver bound")
+    def refuse(*args, **kwargs):
+        raise AssertionError("Ray job started below the driver bound")
+
+    for fn in ("read_parquet", "from_items", "read_parquet_bulk"):
+        m.setattr(ray.data, fn, refuse)
+    m.setattr(ray, "remote", refuse)
+
+
+def test_selective_decode_executors_agree(tombstoned_corpus, monkeypatch):
+    """The driver executor (scan bytes at or below _DRIVER_READ_BYTES)
+    and the Ray executor return the same rows and the same stats,
+    apart from `executor`, for decode_select and decode_ntok_range.
+    Below the bound the driver reads the files itself: Ray Data reads
+    and new Ray tasks are refused while the bound is forced up."""
+    from fsst_ray.pipelines import executor
 
     out, src, dead = tombstoned_corpus
     for name, (run, want) in _selections(out, src, dead).items():
         seen = {}
-        for bound, reader in ((1 << 40, no_read), (0, read_parquet)):
-            monkeypatch.setattr(executor, "_DRIVER_READ_BYTES", bound)
-            monkeypatch.setattr(ray.data, "read_parquet", reader)
-            stats: dict = {}
-            got = _collect(run(stats))
+        for bound in (1 << 40, 0):
+            with monkeypatch.context() as m:
+                m.setattr(executor, "_DRIVER_READ_BYTES", bound)
+                if bound:
+                    _refuse_ray_jobs(m)
+                stats: dict = {}
+                got = _collect(run(stats))
             assert got.equals(want), (name, bound)
             seen[bound] = stats
         driver, ray_side = seen[1 << 40], seen[0]
@@ -875,14 +893,9 @@ def test_rewrite_jobs_executors_agree(appended_corpus, tmp_path, monkeypatch):
     import shutil
 
     import pyarrow.compute as pc
-    import ray
-    import ray.data
 
     from fsst_ray import compact_corpus, decode_generation, decode_source, purge_deletes
     from fsst_ray.pipelines import executor
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("Ray job started below the driver bound")
 
     base, live, _ = appended_corpus
     seen = {}
@@ -894,9 +907,7 @@ def test_rewrite_jobs_executors_agree(appended_corpus, tmp_path, monkeypatch):
             m.setattr(executor, "_DRIVER_READ_BYTES", bound)
             m.setattr(executor, "_DRIVER_REWRITE_BYTES", bound)
             if name == "driver":
-                for fn in ("read_parquet", "from_items", "read_parquet_bulk"):
-                    m.setattr(ray.data, fn, refuse)
-                m.setattr(ray, "remote", refuse)
+                _refuse_ray_jobs(m)
             for key, run in (
                 ("source", lambda st: decode_source(out, ["english"], stats=st)),
                 ("gen0", lambda st: decode_generation(out, 0, stats=st)),

@@ -19,14 +19,18 @@ of the corpus under --work:
 
 - `purge_deletes` after 200 deletes spread over all sources (the
   zone maps then hit nearly every file);
-- `compact_corpus` after 3 appends of scale-1 token rows under fresh
-  id prefixes (every source's files merge into one).
+- `compact_corpus` after 3 appends of --append-scale token rows under
+  fresh id prefixes (every source's files merge into one).
+
+With --cold every timed run, on either side, starts on a fresh Ray
+instance (`ray.shutdown()` then `ray.init()` just before it), as the
+first job of a CLI command does; by default Ray workers are warm.
 
 Usage:
   python -c "from fsst_ray.sources.tokens import ensure_tokens_parquet as e; print(e(100))"
   python -m fsst_ray encode --input <that dir> --output /tmp/enc100 --num-cpus 4
   python tools/executor_crossover.py --encoded /tmp/enc100 --cpus 4 [--reps 3] \
-      [--jobs reads,rewrites] [--work DIR]
+      [--jobs reads,rewrites] [--work DIR] [--append-scale 1] [--cold]
 
 Prints one JSON line per job: MiB on disk, rows (reads), median
 seconds of each executor over --reps runs, and ray_s / driver_s.
@@ -57,12 +61,23 @@ def main() -> None:
     ap.add_argument("--reps", type=int, default=3)
     ap.add_argument("--jobs", default="reads,rewrites")
     ap.add_argument("--work", default=tempfile.gettempdir())
+    ap.add_argument("--append-scale", type=float, default=1.0)
+    ap.add_argument("--cold", action="store_true")
     args = ap.parse_args()
 
     import ray
 
-    ray.init(num_cpus=args.cpus, include_dashboard=False, logging_level="ERROR")
-    ray.data.DataContext.get_current().enable_progress_bars = False
+    def start_ray():
+        ray.init(num_cpus=args.cpus, include_dashboard=False, logging_level="ERROR")
+        ray.data.DataContext.get_current().enable_progress_bars = False
+
+    def fresh():
+        # before each timed run: a new Ray instance with --cold
+        if args.cold:
+            ray.shutdown()
+            start_ray()
+
+    start_ray()
 
     from fsst_ray import decode_ntok_range, decode_select
     from fsst_ray.pipelines import executor
@@ -114,6 +129,7 @@ def main() -> None:
         executor._DRIVER_READ_BYTES = bound
         times, stats = [], {}
         for _ in range(args.reps):
+            fresh()
             t0 = time.perf_counter()
             rows = run(kind, arg, stats)
             times.append(time.perf_counter() - t0)
@@ -133,6 +149,7 @@ def main() -> None:
         assert rows == ray_rows, (name, rows, ray_rows)
         print(json.dumps({
             "cpus": args.cpus,
+            "workers": "cold" if args.cold else "warm",
             "read": name,
             "scan_mib": round(stats["bytes_zone_scanned"] / 2**20, 1),
             "files_read": stats["files_read"],
@@ -142,11 +159,11 @@ def main() -> None:
             "ray_over_driver": round(ray_s / driver_s, 2),
         }), flush=True)
     if "rewrites" in args.jobs:
-        time_rewrites(args, enc, sources, ids_of)
+        time_rewrites(args, enc, sources, ids_of, fresh)
     ray.shutdown()
 
 
-def time_rewrites(args, enc, sources, ids_of) -> None:
+def time_rewrites(args, enc, sources, ids_of, fresh) -> None:
     import ray.data as rd
 
     from fsst_ray import append_dataset, compact_corpus, delete_docs, purge_deletes, tokens_table
@@ -158,7 +175,7 @@ def time_rewrites(args, enc, sources, ids_of) -> None:
     victims = sorted(i for s in sources for i in ids_of(s, per_source))[:200]
     appended = os.path.join(work, "appended")
     shutil.copytree(enc, appended)
-    extra = tokens_table(1)
+    extra = tokens_table(args.append_scale)
     for g in range(3):
         ids = pc.binary_join_element_wise(f"x{g}", extra["doc_id"], "-")
         col = extra.schema.get_field_index("doc_id")
@@ -180,6 +197,7 @@ def time_rewrites(args, enc, sources, ids_of) -> None:
                 d = os.path.join(work, "run")
                 shutil.copytree(src, d)
                 job = prepare(d)
+                fresh()
                 t0 = time.perf_counter()
                 res = job()
                 times.append(time.perf_counter() - t0)
@@ -190,6 +208,7 @@ def time_rewrites(args, enc, sources, ids_of) -> None:
         mib = sum(f.stat().st_size for f in mf.chunks_dir(src).glob("*.parquet"))
         print(json.dumps({
             "cpus": args.cpus,
+            "workers": "cold" if args.cold else "warm",
             "job": name,
             "corpus_mib": round(mib / 2**20, 1),
             "result": seen["driver"][1],
