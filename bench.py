@@ -13,8 +13,7 @@ Env: RAY_GRAFT_CPUS (default 32), GRAFT_SF_DIR (default
 /root/testdata/sf0.1; only its sf suffix is used to size the synthetic
 corpus — scale = sf*SCALE_PER_SF), FSST_BENCH_SCALE (explicit scale
 override), FSST_BENCH_REPS (best-of-N for both stages, default 2),
-FSST_SCALING_LO (N of the N-vs-4N scaling legs, default 4). The one
-exchange setting honored downstream is FSST_ROUTE_ACK=auto|full|window.
+FSST_SCALING_LO (N of the N-vs-4N scaling legs, default 4).
 """
 
 from __future__ import annotations
@@ -266,16 +265,6 @@ def run_scaling() -> dict:
         # memcpy 33-55 GB/s throughout), which the median over reps
         # cannot fully suppress. Applied identically to BOTH legs.
         env.setdefault("FSST_BENCH_REPS", "2")
-        # BOTH legs must run the IDENTICAL configuration: the adaptive
-        # route-ack (auto -> window at <=8 CPUs) otherwise hands the
-        # low leg the 1.7x faster low-parallelism ack mode while the
-        # high leg runs full-barrier — comparing two different engine
-        # configs, not two cluster sizes (r4 finding: that asymmetry
-        # alone deflated raw efficiency to 0.55). A real N vs 4N node
-        # comparison runs one config on both clusters; full-barrier is
-        # the shipped cluster default.
-        env.setdefault("FSST_ROUTE_ACK", "full")
-
         # pin the whole leg (driver -> raylet -> every worker inherits
         # the affinity mask) to a cpuset of exactly ncpu hardware
         # threads. Without this, an "N CPU" leg only caps Ray's task

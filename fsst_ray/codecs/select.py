@@ -40,7 +40,10 @@ def chunk_stats(values: np.ndarray) -> dict:
     """
     n = len(values)
     if n == 0:
-        return {"n": 0, "min": 0, "max": 0, "card": 0, "n_runs": 0, "sample_bytes": b""}
+        return {
+            "n": 0, "min": 0, "max": 0, "card": 0, "n_runs": 0, "max_run": 0,
+            "sample_bytes": b"",
+        }
     vmin = int(values.min())
     vmax = int(values.max())
 
@@ -65,7 +68,9 @@ def chunk_stats(values: np.ndarray) -> dict:
     if n <= _EXACT_LIMIT:
         card = len(np.unique(values))
         diffs = np.diff(values.astype(np.int64))
-        n_runs = int(np.count_nonzero(diffs)) + 1
+        run_starts = np.flatnonzero(diffs) + 1
+        n_runs = len(run_starts) + 1
+        max_run = int(np.diff(run_starts, prepend=0, append=n).max())
         dmax = int(np.abs(diffs).max()) if len(diffs) else 0
         delta_zz_width = max(int(dmax * 2).bit_length(), 1)
         vbyte_bytes = _vbyte_count(values)
@@ -78,6 +83,7 @@ def chunk_stats(values: np.ndarray) -> dict:
         frac = len(sampled) / n
         card = min(int(len(np.unique(sampled)) / max(frac, 1e-9)), n, vmax - vmin + 1)
         n_runs = max(int((sum(np.count_nonzero(np.diff(w)) + 1 for w in windows)) / frac / 1), 1)
+        max_run = n  # upper bound: a run may span the unsampled gaps
         dmax = max(
             (int(np.abs(np.diff(w.astype(np.int64))).max()) for w in windows if len(w) > 1),
             default=0,
@@ -94,6 +100,7 @@ def chunk_stats(values: np.ndarray) -> dict:
         "max": vmax,
         "card": card,
         "n_runs": n_runs,
+        "max_run": max_run,
         "delta_zz_width": delta_zz_width,
         "vbyte_bytes": vbyte_bytes,
         "bl_hist": bl_hist,

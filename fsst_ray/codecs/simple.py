@@ -106,9 +106,15 @@ class RleCodec(Codec):
     codec_id = 3
 
     def estimate(self, stats, state):
-        # run values ~FOR width of value range, run lengths ~32 bits
-        width = bit_width(stats["max"] - stats["min"]) + 32
-        return 32 + (stats["n_runs"] * width + 7) // 8
+        # what encode_values writes: a 26 B header, then the run values
+        # FOR-packed at the value range's width and the run lengths at
+        # the longest run's width, each padded to a byte
+        if stats["n"] == 0:
+            return 8
+        n_runs = stats["n_runs"]
+        vwidth = bit_width(stats["max"] - stats["min"])
+        lwidth = bit_width(stats["max_run"])
+        return 26 + (n_runs * vwidth + 7) // 8 + (n_runs * lwidth + 7) // 8
 
     def encode_values(self, values, state):
         if len(values) == 0:

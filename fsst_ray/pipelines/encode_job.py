@@ -3,21 +3,26 @@
 Pass 1 (stages/trainer.py): per-source deterministic sampling + token
 mass, folded in the driver -> FSST symbol tables per source + bucket plan.
 Pass 2: assign (source, bucket) part keys (skew-aware: bucket count
-proportional to source token mass), shuffle once on part_key, encode
-each bucket into ~chunk_tokens-sized auto-selected codec chunks, write
-one atomic parquet file + manifest entry per bucket.
+proportional to source token mass) and stage each bucket's rows on disk
+as Arrow IPC fragments (`stage_batch`, one Ray Data map over the input);
+then encode each bucket into ~chunk_tokens-sized auto-selected codec
+chunks, ordered by doc_id, and write one atomic parquet file + manifest
+entry per bucket (`encode_bucket`, through the per-file executor: in the
+driver for small jobs, one Ray task per bucket above its bound).
 
-At 100 TB: the only all-to-all exchange is the pass-2 bucket exchange,
-a direct hash exchange onto per-bucket writer actors; the small side
-(symbol tables, ~2.3 KB/source) is broadcast via the plan / object
-store; no stage materializes the dataset. Per-bucket files and
-manifest entries are what make an encode resumable, appendable and
-compactable.
+At 100 TB: the only all-to-all exchange is the pass-2 bucket staging,
+a hash exchange through the filesystem; the small side (symbol tables,
+~2.3 KB/source) is broadcast via the plan / object store; no stage
+materializes the dataset, and a reduce task holds one bucket. Per-bucket
+files and manifest entries are what make an encode resumable,
+appendable and compactable.
 """
 
 from __future__ import annotations
 
 import os
+import pathlib
+import shutil
 import time
 from dataclasses import dataclass, field
 
@@ -32,6 +37,7 @@ from ..stages.encoder import (
 )
 from ..stages.trainer import train_states
 from ..state import manifest as mf
+from . import executor
 
 
 @dataclass
@@ -45,325 +51,145 @@ class EncodeResult:
         return str(mf.chunks_dir(self.out_dir))
 
 
-def _narrow_tokens(sub: pa.Table) -> pa.Table:
-    """Exchange compression: re-type the routed `tokens` child from
-    int32 to uint16 when every value in this sub-table fits — HALVES
-    the bytes each token pays through the object store (and, on a real
-    cluster, the network exchange) for one vectorized min/max pass plus
-    one copy route-side. The list structure is untouched, so the
-    writer's zero-copy slicing/compaction machinery is oblivious; the
-    writer widens back to int32 at flush, so encoded output is
-    bit-identical."""
-    import pyarrow.compute as pc
+def stage_batch(
+    batch: pa.Table,
+    *,
+    staging: str,
+    bucket_plan: dict[str, int],
+    key_tag: str,
+    done: list[str],
+    fault_dir: str | None = None,
+) -> pa.Table:
+    """Map side of pass 2: key one batch and write one fragment per part
+    key under `staging/<part>/`, skipping the keys in `done`.
 
-    idx = sub.schema.get_field_index("tokens")
-    col = sub["tokens"]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    # flatten(), not .values: it honors the slice offset, so each
-    # routed sub-table scans only its own values
-    child = col.flatten() if len(col) else None
-    if child is None or len(child) == 0:
-        return sub
-    mm = pc.min_max(child)
-    lo, hi = mm["min"].as_py(), mm["max"].as_py()
-    if lo is None or lo < 0 or hi > 0xFFFF:
-        return sub
-    return sub.set_column(idx, "tokens", pc.cast(col, pa.list_(pa.uint16())))
+    A fragment is an lz4-compressed Arrow IPC file: at 4 CPUs on a
+    1.73B-token corpus it staged 1.85 B/token in 41 s where uncompressed
+    parquet took 2.5 B/token and 76 s, and it reads back faster. It is
+    named by its content (the sum of its doc-id hashes and its row
+    count) and written tmp+rename, so a retried task rewrites the same
+    files. Returns one row per fragment: part_key,
+    n_rows and path; the driver sums n_rows into the routed row count
+    each bucket must hold."""
+    import polars as pl
+    import pyarrow.feather as feather
 
-
-def _concat_bufs(bufs: list[pa.Table]) -> pa.Table:
-    """Concat a part's buffered sub-tables, widening first when sends
-    disagree on the (wire-only) tokens width — one narrowed send and
-    one int32 send can land in the same part."""
-    if len(bufs) == 1:
-        return bufs[0]
-    if len({b.schema.field("tokens").type for b in bufs}) > 1:
-        bufs = [_widen_tokens(b) for b in bufs]
-    return pa.concat_tables(bufs)
-
-
-def _widen_tokens(rows: pa.Table) -> pa.Table:
-    """Writer-side inverse of _narrow_tokens (no-op on int32 input)."""
-    idx = rows.schema.get_field_index("tokens")
-    if rows.schema.field(idx).type == pa.list_(pa.int32()):
-        return rows
-    import pyarrow.compute as pc
-
-    return rows.set_column(
-        idx, "tokens", pc.cast(rows["tokens"], pa.list_(pa.int32()))
+    keyed = assign_partitions(batch, bucket_plan, key_tag)
+    uniq, inv = np.unique(keyed["part_key"].to_numpy(zero_copy_only=False), return_inverse=True)
+    order = np.argsort(inv, kind="stable")
+    rows = keyed.drop_columns(["part_key"]).take(pa.array(order))
+    doc_col = rows["doc_id"]
+    if isinstance(doc_col, pa.ChunkedArray):
+        doc_col = doc_col.combine_chunks()
+    doc_hash = pl.from_arrow(doc_col).hash(seed=11).to_numpy().astype(np.uint64)
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(inv, minlength=len(uniq)))])
+    skip = set(done)
+    out = {"part_key": [], "n_rows": [], "path": []}
+    for key, lo, hi in zip(uniq, bounds[:-1].tolist(), bounds[1:].tolist()):
+        if key in skip:
+            continue
+        part_dir = pathlib.Path(staging) / mf.sanitize_part(key)
+        part_dir.mkdir(parents=True, exist_ok=True)
+        path = part_dir / f"{int(doc_hash[lo:hi].sum(dtype=np.uint64)):016x}-{hi - lo}.arrow"
+        tmp = path.with_suffix(f".{os.getpid()}.tmp")
+        feather.write_feather(rows.slice(lo, hi - lo), tmp, compression="lz4")
+        os.replace(tmp, path)
+        out["part_key"].append(key)
+        out["n_rows"].append(hi - lo)
+        out["path"].append(str(path))
+    # fault injection (tests only): once the fragments are written,
+    # kill this worker once; Ray reruns the task, which rewrites the
+    # same fragments
+    if fault_dir:
+        try:
+            (pathlib.Path(fault_dir) / "route_killed").touch(exist_ok=False)
+            os._exit(1)  # simulated worker death (not an exception)
+        except FileExistsError:
+            pass
+    return pa.table(
+        {
+            "part_key": pa.array(out["part_key"], type=pa.string()),
+            "n_rows": pa.array(out["n_rows"], type=pa.int64()),
+            "path": pa.array(out["path"], type=pa.string()),
+        }
     )
 
 
-class _BucketWriter:
-    """Reduce-side encoder/writer actor for the custom hash exchange.
+def encode_bucket(
+    fragments: list[str],
+    *,
+    key: str,
+    expected: int,
+    out_dir: str,
+    states,
+    chunk_tokens: int,
+    codecs,
+) -> dict:
+    """Reduce side of pass 2: encode one bucket from its staged
+    fragments into `chunks/<part>.parquet` (tmp+rename) and its manifest
+    entry, then unlink the fragments.
 
-    The Dataset API's only keyed exchange is a sort-based groupby, which
-    drags every row through sort machinery and does not scale on one
-    node; this actor pool implements a direct hash-partitioned exchange
-    instead: map tasks push each bucket's raw rows straight to its
-    writer. Encoding happens reduce-side to keep chunks full-size
-    (fragmenting chunks map-side multiplied per-chunk overhead ~30x).
+    Raises, writing nothing, when the fragments hold other than the
+    `expected` routed row count or a doc_id twice (input precondition:
+    doc_id is unique per row). Rows are ordered by doc_id before
+    chunking, so the bytes depend only on the input and the plan.
+    Returns the entry and the read, encode and write seconds."""
+    import pyarrow.feather as feather
+    import pyarrow.parquet as pq
 
-    Memory is bounded, not proportional to input: each bucket's rows
-    are buffered only until `flush_tokens`, then encoded and appended
-    to the bucket's parquet file as a row group (tmp file, renamed at
-    finalize so resume sees only complete buckets). Buffered rows are
-    zero-copy slices that pin their whole parent add-table, so a
-    global `budget_tokens` cap tracks PINNED tokens; when it trips,
-    parts with at least half a flush of rows are flushed and the rest
-    are compacted (slices copied into one owned table, releasing the
-    parents) — never flushed small, which would fragment chunks and
-    multiply per-flush overhead (measured 2x encode CPU). Writer heap
-    is then O(budget + n_parts x flush_tokens/2). Retried
-    map tasks resend their sub-batches; `seen_sends` makes delivery
-    idempotent (content-addressed send ids), replacing the old silent
-    doc_id dedup. Chunk composition is deterministic (doc_id-sorted)
-    when a bucket fits in a single flush; across flushes the chunk
-    boundaries follow arrival order, but the decoded content is
-    identical either way (chunks are self-contained).
-    """
+    from ..stages.encoder import ENCODED_CHUNK_SCHEMA
 
-    def __init__(
-        self,
-        out_dir: str,
-        states,
-        chunk_tokens: int,
-        codecs,
-        flush_tokens: int | None = None,
-        budget_tokens: int | None = None,
-    ):
-        self.out_dir = out_dir
-        self.states = states
-        self.chunk_tokens = chunk_tokens
-        self.codecs = codecs
-        self.flush_tokens = flush_tokens or max(4 * chunk_tokens, 1 << 20)
-        self.budget_tokens = budget_tokens or max(16 * self.flush_tokens, 64 << 20)
-        self.parts: dict[str, dict] = {}
-        self.errors: list[str] = []  # deferred input-precondition errors
-        self.seen_sends: set = set()
-        self.pinned_tokens = 0  # tokens held via zero-copy slices
-        # telemetry (seconds): exchange attribution for bench tuning
-        self.t_add = 0.0
-        self.t_encode = 0.0
-        self.t_write = 0.0
-
-    def _part(self, key: str) -> dict:
-        st = self.parts.get(key)
-        if st is None:
-            st = self.parts[key] = {
-                "bufs": [],
-                "buf_tokens": 0,
-                "pinned": 0,
-                "rows": 0,
-                "writer": None,
-                "tmp": None,
-                "final": None,
-                "chunks": 0,
-                "tokens": 0,
-                "bytes_in": 0,
-                "bytes_out": 0,
-                "codecs": {},
-                # sorted u64 digests of doc_ids flushed so far: the
-                # duplicate guard must also catch dups split across
-                # flushes of the same bucket (8 B/doc, bucket-bounded)
-                "doc_digests": np.empty(0, dtype=np.uint64),
-                # zone map for selective decode: lexicographic doc_id
-                # range of this part (decode_select prunes files whose
-                # range cannot contain any requested id)
-                "doc_min": None,
-                "doc_max": None,
-            }
-        return st
-
-    def add(self, table: pa.Table, send_id) -> int:
-        if send_id in self.seen_sends:
-            return 0  # retried map task resent this sub-batch
-        self.seen_sends.add(send_id)
-        _t0 = time.perf_counter()
-        # contract: route() sends sub-tables already sorted by part_key,
-        # so parts are contiguous runs — zero-copy slices, no gather in
-        # the writer (the writers are the exchange's serial resource;
-        # sorting happens in the parallel routing tasks)
-        keys = table["part_key"].to_numpy(zero_copy_only=False)
-        n_tok = table["n_tok"].to_numpy(zero_copy_only=False).astype(np.int64)
-        bounds = np.concatenate(
-            [[0], np.flatnonzero(keys[1:] != keys[:-1]) + 1, [len(keys)]]
+    t0 = time.perf_counter()
+    rows = pa.concat_tables([feather.read_table(f) for f in fragments])
+    t1 = time.perf_counter()
+    if rows.num_rows != expected:
+        raise RuntimeError(
+            f"bucket {key}: staged {rows.num_rows} rows, expected {expected} "
+            "(rerun with resume=True)"
         )
-        for g in range(len(bounds) - 1):
-            lo, hi = int(bounds[g]), int(bounds[g + 1])
-            key = keys[lo]
-            st = self._part(key)
-            st["bufs"].append(table.slice(lo, hi - lo))
-            mm = pa.compute.min_max(table["doc_id"].slice(lo, hi - lo))
-            dmin, dmax = mm["min"].as_py(), mm["max"].as_py()
-            if dmin is not None and (st["doc_min"] is None or dmin < st["doc_min"]):
-                st["doc_min"] = dmin
-            if dmax is not None and (st["doc_max"] is None or dmax > st["doc_max"]):
-                st["doc_max"] = dmax
-            toks = int(n_tok[lo:hi].sum())
-            st["buf_tokens"] += toks
-            st["pinned"] += toks
-            st["rows"] += hi - lo
-            self.pinned_tokens += toks
-            if st["buf_tokens"] >= self.flush_tokens:
-                self._flush(key, st)
-        if self.pinned_tokens > self.budget_tokens:
-            # pinned sweep: flush sizable buffers, compact the rest
-            # (copy slices into owned tables so parent add-tables
-            # release) — small buffers are never flushed early, which
-            # would fragment chunks and multiply per-flush overhead
-            floor = self.flush_tokens // 2
-            for key, st in self.parts.items():
-                if not st["pinned"]:
-                    continue
-                if st["buf_tokens"] >= floor:
-                    self._flush(key, st)
-                else:
-                    self._compact(st)
-        self.t_add += time.perf_counter() - _t0
-        return table.num_rows
-
-    def _compact(self, st: dict) -> None:
-        merged = _concat_bufs(st["bufs"])
-        # take, not combine_chunks: combine keeps referencing the parent
-        # add-table's child buffers (verified: a 5-row slice of a 1000-row
-        # list table still holds the full 3000-value child after combine),
-        # so only a gather actually releases the pinned parent
-        st["bufs"] = [merged.take(pa.array(np.arange(merged.num_rows)))]
-        self.pinned_tokens -= st["pinned"]
-        st["pinned"] = 0
-
-    def _flush(self, key: str, st: dict) -> None:
-        if not st["bufs"]:
-            return
-        rows = _widen_tokens(_concat_bufs(st["bufs"]))  # narrowing is wire-only
-        st["bufs"] = []
-        self.pinned_tokens -= st["pinned"]
-        st["pinned"] = 0
-        st["buf_tokens"] = 0
-        # duplicate-doc_id guards. Errors are RECORDED and raised at
-        # finalize, never from add(): a raise mid-add would mark the
-        # send as seen while dropping later parts, so the task retry's
-        # resend is deduped away and the exchange drain poll hangs —
-        # deferring keeps delivery intact and surfaces the error
-        # deterministically on the driver's finalize ray.get.
-        doc_ids = rows["doc_id"].to_numpy(zero_copy_only=False)
-        sd = np.sort(doc_ids)
-        dup = sd[1:] == sd[:-1]
-        if dup.any():
-            self.errors.append(
-                f"duplicate doc_id rows in bucket {key}: "
-                f"{np.unique(sd[1:][dup])[:5].tolist()} "
-                "(input precondition: doc_id must be unique per row)"
-            )
-        # cross-flush guard: compare u64 digests against every earlier
-        # flush of this bucket (a duplicate pair can straddle a flush
-        # boundary once a bucket exceeds flush_tokens)
-        import polars as pl
-
-        col = rows["doc_id"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        digests = np.sort(pl.from_arrow(col).hash(seed=23).to_numpy().astype(np.uint64))
-        if len(st["doc_digests"]) and np.isin(
-            digests, st["doc_digests"], assume_unique=True
-        ).any():
-            self.errors.append(
-                f"duplicate doc_id across flushes in bucket {key} "
-                "(input precondition: doc_id must be unique per row)"
-            )
-        st["doc_digests"] = np.concatenate([st["doc_digests"], digests])
-        st["doc_digests"].sort()
-        # doc-sorted chunking via sort_keys: no physical table sort —
-        # the chunk gather inside encode copies the values once anyway
-        _t0 = time.perf_counter()
-        chunks = encode_rows_to_chunks(
-            rows, self.states, key, self.chunk_tokens, self.codecs, sort_keys=doc_ids
+    doc_ids = rows["doc_id"].to_numpy(zero_copy_only=False)
+    sd = np.sort(doc_ids)
+    dup = sd[1:] == sd[:-1]
+    if dup.any():
+        raise ValueError(
+            f"duplicate doc_id rows in bucket {key}: "
+            f"{np.unique(sd[1:][dup])[:5].tolist()} "
+            "(input precondition: doc_id must be unique per row)"
         )
-        self.t_encode += time.perf_counter() - _t0
-        chunks = chunks.set_column(
-            chunks.schema.get_field_index("chunk_seq"),
-            "chunk_seq",
-            pa.array(
-                np.arange(st["chunks"], st["chunks"] + chunks.num_rows, dtype=np.int32),
-                type=pa.int32(),
-            ),
-        )
-        if st["writer"] is None:
-            import pyarrow.parquet as pq
-
-            from ..stages.encoder import ENCODED_CHUNK_SCHEMA
-
-            cdir = mf.chunks_dir(self.out_dir)
-            cdir.mkdir(parents=True, exist_ok=True)
-            st["final"] = cdir / f"{mf.sanitize_part(key)}.parquet"
-            st["tmp"] = st["final"].with_suffix(f".{os.getpid()}.tmp")
-            st["writer"] = pq.ParquetWriter(
-                st["tmp"], ENCODED_CHUNK_SCHEMA, compression="none"
-            )
-        _t0 = time.perf_counter()
-        st["writer"].write_table(chunks)
-        self.t_write += time.perf_counter() - _t0
-        st["chunks"] += chunks.num_rows
-        st["tokens"] += int(pa.compute.sum(chunks["n_values"]).as_py() or 0)
-        st["bytes_in"] += int(pa.compute.sum(chunks["bytes_in"]).as_py() or 0)
-        st["bytes_out"] += int(pa.compute.sum(chunks["bytes_out"]).as_py() or 0)
-        for c in chunks["codec"].to_pylist():
-            st["codecs"][c] = st["codecs"].get(c, 0) + 1
-
-    def finalize(self, expected: dict[str, int]) -> list[dict]:
-        entries = []
-        for key in sorted(self.parts):
-            self._flush(key, self.parts[key])
-        if self.errors:
-            raise ValueError("; ".join(self.errors[:5]))
-        for key in sorted(self.parts):
-            st = self.parts[key]
-            if st["writer"] is None:
-                continue
-            st["writer"].close()
-            os.replace(st["tmp"], st["final"])
-            want = expected.get(key)
-            if want is not None and st["rows"] != want:
-                raise RuntimeError(
-                    f"bucket {key}: wrote {st['rows']} rows, expected {want} "
-                    "(writer actor lost state — rerun with resume=True)"
-                )
-            entry = {
-                "part_key": key,
-                "status": "done",
-                "chunks": st["chunks"],
-                "rows": st["rows"],
-                "tokens": st["tokens"],
-                "bytes_in": st["bytes_in"],
-                "bytes_out": st["bytes_out"],
-                "codecs": st["codecs"],
-                "file": st["final"].name,
-                "doc_min": st["doc_min"],
-                "doc_max": st["doc_max"],
-            }
-            mf.write_part_entry(self.out_dir, entry)
-            entries.append(entry)
-        self.parts = {}
-        return entries
-
-    def received_rows(self) -> int:
-        """Total rows delivered to this writer (dedup-safe): the async
-        exchange's drain poll compares this against routed totals."""
-        return sum(st["rows"] for st in self.parts.values())
-
-    def timing(self) -> dict:
-        """add is inclusive of in-add flushes; encode/write are the
-        flush internals (from add or finalize)."""
-        return {"add": self.t_add, "encode": self.t_encode, "write": self.t_write}
-
-
-# send acknowledgement policies a route task may run under (FSST_ROUTE_ACK)
-_ROUTE_ACK_POLICIES = ("auto", "full", "window")
-# "window": sends a route task may leave unacknowledged when it returns
-# (in-flight routed bytes per task = window x sub-batch bytes)
-_ROUTE_ACK_WINDOW = 4
+    # doc-sorted chunking via sort_keys: no physical table sort, the
+    # chunk gather inside encode copies the values once anyway
+    chunks = encode_rows_to_chunks(rows, states, key, chunk_tokens, codecs, sort_keys=doc_ids)
+    t2 = time.perf_counter()
+    cdir = mf.chunks_dir(out_dir)
+    cdir.mkdir(parents=True, exist_ok=True)
+    final = cdir / f"{mf.sanitize_part(key)}.parquet"
+    tmp = final.with_suffix(f".{os.getpid()}.tmp")
+    with pq.ParquetWriter(tmp, ENCODED_CHUNK_SCHEMA, compression="none") as writer:
+        writer.write_table(chunks)
+    os.replace(tmp, final)
+    t3 = time.perf_counter()
+    codec_counts: dict[str, int] = {}
+    for c in chunks["codec"].to_pylist():
+        codec_counts[c] = codec_counts.get(c, 0) + 1
+    entry = {
+        "part_key": key,
+        "status": "done",
+        "chunks": chunks.num_rows,
+        "rows": rows.num_rows,
+        "tokens": int(pa.compute.sum(chunks["n_values"]).as_py() or 0),
+        "bytes_in": int(pa.compute.sum(chunks["bytes_in"]).as_py() or 0),
+        "bytes_out": int(pa.compute.sum(chunks["bytes_out"]).as_py() or 0),
+        "codecs": codec_counts,
+        "file": final.name,
+        # zone map for selective decode: decode_select prunes files
+        # whose doc_id range cannot hold a requested id
+        "doc_min": sd[0],
+        "doc_max": sd[-1],
+    }
+    mf.write_part_entry(out_dir, entry)
+    for f in fragments:
+        os.unlink(f)
+    return {"entry": entry, "read": t1 - t0, "encode": t2 - t1, "write": t3 - t2}
 
 
 def encode_dataset(
@@ -374,8 +200,6 @@ def encode_dataset(
     bucket_tokens: int = 16 << 20,
     codecs: tuple[str, ...] = DEFAULT_CODECS,
     resume: bool = False,
-    writer_flush_tokens: int | None = None,
-    writer_budget_tokens: int | None = None,
     input_path: str | None = None,
     _plan: tuple | None = None,
     _key_tag: str = "",
@@ -391,30 +215,6 @@ def encode_dataset(
     (doc_id, n_tok, source) scan + samples from a doc_id-filtered read
     — identical states, ~0.1% of the read bytes at scale.
     """
-    import ray
-
-    # send acknowledgement policy:
-    #   full   — each route task ray.gets every send: strictest
-    #            in-flight bound (~concurrent blocks) and the
-    #            simplest delivery guarantee.
-    #   window — wait for all-but-_ROUTE_ACK_WINDOW sends: kills the
-    #            convoy where every task waits on its round's slowest
-    #            writer; measured 1.7x faster at 4 CPUs (where few
-    #            concurrent tasks make the convoy bite), equal at 16-32.
-    #            Relies on the driver-side drain poll before finalize; a
-    #            worker dying after task completion is detected by the
-    #            poll timing out -> rerun with resume.
-    #   auto (default) — window at <=8 CPUs; full above, where the two
-    #            measure equal and the bounded-in-flight posture wins.
-    # Checked before any task starts: an unknown value must not
-    # silently turn per-task acknowledgement off.
-    route_ack = os.environ.get("FSST_ROUTE_ACK", "auto")
-    if route_ack not in _ROUTE_ACK_POLICIES:
-        raise ValueError(
-            f"FSST_ROUTE_ACK={route_ack!r}: expected one of "
-            f"{', '.join(_ROUTE_ACK_POLICIES)}"
-        )
-
     # "mode" stays in the persisted config so plans saved by earlier
     # versions still pass the resume equality check
     config = {
@@ -458,145 +258,49 @@ def encode_dataset(
     done = mf.completed_parts(out_dir) if resume else set()
     if mf.chunks_dir(out_dir).exists():
         for stale in mf.chunks_dir(out_dir).glob("*.tmp"):
-            stale.unlink()  # partial flushes from an interrupted run
+            stale.unlink()  # partial writes from an interrupted run
+    staging = pathlib.Path(out_dir) / "_staging"
+    shutil.rmtree(staging, ignore_errors=True)
 
-    keyed = ds.map_batches(
-        lambda b: assign_partitions(b, bucket_plan, _key_tag),
+    # map: stage each bucket's rows not yet done as fragments
+    staged = ds.map_batches(
+        stage_batch,
         batch_format="pyarrow",
         batch_size=None,
-    )
-    if done:
-        done_list = sorted(done)
-
-        def drop_done(batch: pa.Table) -> pa.Table:
-            keys = batch["part_key"].to_numpy(zero_copy_only=False)
-            keep = ~np.isin(keys, done_list)
-            return batch.filter(pa.array(keep))
-
-        keyed = keyed.map_batches(drop_done, batch_format="pyarrow")
-
-    # custom hash exchange: push each bucket's raw rows directly to its
-    # writer actor (no sort); writers encode + write incrementally;
-    # delivery verified by per-bucket row counts
-    import zlib
-
-    cluster_cpus = int(ray.cluster_resources().get("CPU", 8))
-    # cpus//2: writers encode concurrently with the (cheap) routing map
-    # tasks; a full-cpus pool only adds actor ramp-up and scheduler
-    # contention (measured at sf0.1 and scale 2400)
-    n_writers = max(2, cluster_cpus // 2)
-    if route_ack == "auto":
-        route_ack = "window" if cluster_cpus <= 8 else "full"
-    # read driver-side and captured by the route closure: workers
-    # started before the test set the env would not see it
-    fault_dir = os.environ.get("FSST_FAULT_ROUTE_ONCE_DIR")
-    # Writers encode+write parquet incrementally inside add(), so they
-    # DO burn CPU — but declaring it (num_cpus=1) would let the cpus//2
-    # writer pool reserve half the task slots and starve the routing map
-    # stage; measured best config is an unreserved pool (num_cpus=0)
-    # sized to cpus//2 so routing and encoding overlap.
-    writer_pool = [
-        ray.remote(num_cpus=0)(_BucketWriter).remote(
-            out_dir,
-            states,
-            chunk_tokens,
-            codecs,
-            writer_flush_tokens,
-            writer_budget_tokens,
-        )
-        for _ in range(n_writers)
-    ]
-
-    def route(batch: pa.Table) -> pa.Table:
-        import polars as pl
-
-        keys = batch["part_key"].to_numpy(zero_copy_only=False)
-        # crc32 once per unique part_key, not per row
-        uniq, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
-        uniq_wid = np.array(
-            [zlib.crc32(k.encode()) % n_writers for k in uniq], dtype=np.int64
-        )
-        wid = uniq_wid[inv]
-        # content-addressed send ids: a retried task resends byte-
-        # identical sub-batches, so the writer can drop duplicates
-        doc_col = batch["doc_id"]
-        if isinstance(doc_col, pa.ChunkedArray):
-            doc_col = doc_col.combine_chunks()
-        doc_hash = pl.from_arrow(doc_col).hash(seed=11).to_numpy().astype(np.uint64)
-        # one gather sorted by (writer, part_key): per-writer
-        # sub-tables are contiguous slices whose parts are adjacent
-        # runs, so the (serial) writer never gathers
-        order = np.lexsort((keys, wid))
-        sorted_batch = batch.take(pa.array(order))
-        swid = wid[order]
-        shash = doc_hash[order]
-        wb = np.concatenate(
-            [[0], np.flatnonzero(swid[1:] != swid[:-1]) + 1, [len(swid)]]
-        )
-        refs = []
-        for g in range(len(wb) - 1):
-            lo, hi = int(wb[g]), int(wb[g + 1])
-            sub = _narrow_tokens(sorted_batch.slice(lo, hi - lo))
-            send_id = (int(shash[lo:hi].sum(dtype=np.uint64)), hi - lo)
-            refs.append(writer_pool[int(swid[lo])].add.remote(sub, send_id))
-        # fault injection (tests only): after the sends are in
-        # flight, kill this worker once — Ray reruns the task, the
-        # retry resends everything, and the writers' send-id dedup
-        # must absorb the duplicates
-        if fault_dir:
-            import pathlib
-
-            flag = pathlib.Path(fault_dir) / "route_killed"
-            try:
-                flag.touch(exist_ok=False)
-                os._exit(1)  # simulated worker death (not an exception)
-            except FileExistsError:
-                pass
-        if route_ack == "full":
-            ray.get(refs)
-        elif len(refs) > _ROUTE_ACK_WINDOW:
-            ray.wait(
-                refs, num_returns=len(refs) - _ROUTE_ACK_WINDOW, fetch_local=False
-            )
-        # remaining sends drain in the background; the driver polls
-        # writer received-row counts before finalize
-        return pa.table(
-            {
-                "part_key": pa.array(uniq, type=pa.string()),
-                "n_rows": pa.array(counts, type=pa.int64()),
-            }
-        )
-
-    count_rows = keyed.map_batches(
-        route, batch_format="pyarrow", batch_size=None
+        fn_kwargs={
+            "staging": str(staging),
+            "bucket_plan": bucket_plan,
+            "key_tag": _key_tag,
+            "done": sorted(done),
+            # read in the driver: workers started before a test sets
+            # the variable would not see it
+            "fault_dir": os.environ.get("FSST_FAULT_ROUTE_ONCE_DIR"),
+        },
     ).take_all()
     expected: dict[str, int] = {}
-    for r in count_rows:
-        expected[r["part_key"]] = expected.get(r["part_key"], 0) + int(r["n_rows"])
-    if route_ack != "full":
-        total_routed = sum(expected.values())
-        deadline = time.perf_counter() + 300.0
-        while True:
-            got = sum(ray.get([w.received_rows.remote() for w in writer_pool]))
-            if got >= total_routed:
-                break
-            if time.perf_counter() > deadline:
-                raise RuntimeError(
-                    f"exchange drain timed out: writers received {got} of "
-                    f"{total_routed} routed rows (a routing worker may have "
-                    "died after task completion — rerun with resume=True)"
-                )
-            time.sleep(0.05)
-    # entries are persisted in the manifest dir by each writer
-    ray.get([w.finalize.remote(expected) for w in writer_pool])
-    wt = ray.get([w.timing.remote() for w in writer_pool])
-    timings["writer_add_max"] = round(max(t["add"] for t in wt), 3)
-    timings["writer_encode_max"] = round(max(t["encode"] for t in wt), 3)
-    timings["writer_write_max"] = round(max(t["write"] for t in wt), 3)
-    timings["writer_encode_sum"] = round(sum(t["encode"] for t in wt), 3)
-    for w in writer_pool:
-        ray.kill(w)
-
+    fragments: dict[str, set] = {}
+    for r in staged:
+        expected[r["part_key"]] = expected.get(r["part_key"], 0) + r["n_rows"]
+        fragments.setdefault(r["part_key"], set()).add(r["path"])
+    # reduce: one encode_bucket call per bucket, in the driver or as
+    # one Ray task per bucket (executor's rewrite bound)
+    keys = sorted(expected)
+    results, run = executor.map_files(
+        encode_bucket,
+        [sorted(fragments[k]) for k in keys],
+        [{"key": k, "expected": expected[k]} for k in keys],
+        rewrite=True,
+        out_dir=out_dir,
+        states=states,
+        chunk_tokens=chunk_tokens,
+        codecs=codecs,
+    )
+    shutil.rmtree(staging, ignore_errors=True)
+    # per-bucket max read, summed encode and max write, under the key
+    # names perfbench/trace.py reads
+    timings["writer_add_max"] = max((r["read"] for r in results), default=0.0)
+    timings["writer_encode_sum"] = sum(r["encode"] for r in results)
+    timings["writer_write_max"] = max((r["write"] for r in results), default=0.0)
     timings["pass2_encode"] = time.perf_counter() - t0 - timings["pass1_train"]
 
     # job complete: fold per-part entry files into one compacted
@@ -607,17 +311,15 @@ def encode_dataset(
     metrics = mf.summarize(entries)
     metrics["timings"] = {k: round(v, 3) for k, v in timings.items()}
     metrics["pass1"] = pass1
+    metrics["pass2"] = {"executor": run["executor"], "staged_bytes": run["bytes_read"]}
     return EncodeResult(out_dir, metrics, bucket_plan)
 
 
 def _append_plan_path(out_dir: str, gen: int):
-    import pathlib
-
     return pathlib.Path(out_dir) / f"append_plan_g{gen}.json"
 
 
 def _append_generations(out_dir: str) -> list[int]:
-    import pathlib
     import re
 
     gens = []

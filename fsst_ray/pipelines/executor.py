@@ -1,21 +1,21 @@
 """Where per-file corpus work runs: in the driver or as Ray tasks.
 
-Every corpus job that fans out over chunk files -- both phases of a
-selective read, the per-source and per-generation decodes, purge and
-compaction -- maps one plain module-level function over its files
-here. Extra arguments are passed as keyword arguments, never captured.
-When the files total at most a byte bound on disk (one `os.stat`
-each), the driver calls the function on each file in turn and no Ray
-job starts, so a small job costs its compute, not Ray's fixed cost per
-job. Above the bound, one Ray task runs per file: `map_files` runs
-them at once and returns their results, `map_files_to_dataset` returns
-a lazy Ray Data map that streams them. The function, its
-arguments and its results are the same either way: callers never
-branch on the executor, they only record it.
+Every corpus job that fans out over files -- both phases of a
+selective read, the per-source and per-generation decodes, purge,
+compaction and pass 2's per-bucket encode of staged fragments -- maps
+one plain module-level function over its files here. Extra arguments
+are passed as keyword arguments, never captured. When the files total
+at most a byte bound on disk (one `os.stat` each), the driver calls the
+function on each file in turn and no Ray job starts, so a small job
+costs its compute, not Ray's fixed cost per job. Above the bound, one
+Ray task runs per file: `map_files` runs them at once and returns their
+results, `map_files_to_dataset` returns a lazy Ray Data map that streams
+them. The function, its arguments and its results are the same either
+way: callers never branch on the executor, they only record it.
 
-The full-corpus scan (`decode_job.decode_dataset`) and the encode
-writers stay on Ray Data and actors: a decode in the driver would hold
-the whole corpus in one process.
+The full-corpus scan (`decode_job.decode_dataset`) and the map side
+of an encode (`encode_job.stage_batch`) stay Ray Data maps over the
+input: in the driver they would hold the whole corpus in one process.
 """
 
 from __future__ import annotations
@@ -47,19 +47,23 @@ import pyarrow as pa
 # still builds its Dataset on Ray, so cold workers cost both sides.
 _DRIVER_READ_BYTES = 64 << 20
 
-# Rewrites. Purge decodes, filters and re-encodes each file, so it
-# crosses first. Cold, it took 0.82 s in the driver against 0.93 s on
+# Rewrites (purge, compaction and pass 2's bucket encodes). Purge
+# decodes, filters and re-encodes each file, so it crosses first. Cold, it took 0.82 s in the driver against 0.93 s on
 # Ray at 29.7 MiB, and 3.23 against 1.81 s at 89.5 MiB, so it crosses
 # near 34 MiB. Compaction only concatenates chunk rows and crosses
 # near 220 MiB cold (0.55 against 1.00 s at 98 MiB, 1.37 against
 # 1.05 s at 311 MiB). Warm Ray tasks tied or beat the driver on both
-# jobs at every size from 0.1 MiB up.
+# jobs at every size from 0.1 MiB up. Pass 2's bucket encodes, timed as
+# whole appends and sized by their staged fragments, cross near 74 MiB
+# cold (3.24 s in the driver against 5.14 s on Ray at 28.5 MiB, 6.83
+# against 6.22 s at 85.1 MiB); alone they would give 32 MiB, but purge
+# crosses first, so they share this bound.
 _DRIVER_REWRITE_BYTES = 16 << 20
 
 
 def _nbytes(files) -> int:
     """On-disk bytes of one call's input: a chunk-file path, or the
-    list of paths a compaction merge group reads."""
+    list of paths a compaction merge group or a staged bucket reads."""
     if isinstance(files, (list, tuple)):
         return sum(os.stat(f).st_size for f in files)
     return os.stat(files).st_size
@@ -84,7 +88,7 @@ def map_files(fn, files, each=None, *, rewrite=False, **kwargs) -> tuple[list, d
     """`[fn(files[i], **each[i], **kwargs) for i ...]` and how it ran
     ({"executor": "driver"|"ray", "bytes_read": on-disk bytes}).
     `each` holds per-file keyword arguments (default: none); `rewrite`
-    jobs (purge, compaction) use the rewrite bound."""
+    jobs (purge, compaction, bucket encodes) use the rewrite bound."""
     run = _plan(files, _DRIVER_REWRITE_BYTES if rewrite else _DRIVER_READ_BYTES)
     each = [{}] * len(files) if each is None else each
     if run["executor"] == "driver":

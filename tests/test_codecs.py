@@ -230,6 +230,19 @@ def test_pfor_exact_estimate_and_family_win():
     assert np.array_equal(decode_payload(payload).astype(np.int32), v)
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_rle_estimate_is_exact(case):
+    """rle: on an exactly-profiled chunk the estimate is the size
+    encode_values writes (run lengths packed at the longest run's
+    width, not 32 bits each)."""
+    from fsst_ray.codecs.select import _EXACT_LIMIT, chunk_stats
+
+    values = CASES[case]
+    assert len(values) <= _EXACT_LIMIT
+    rle = codecs.CODEC_BY_NAME["rle"]
+    assert rle.estimate(chunk_stats(values), None) == len(rle.encode_values(values, None))
+
+
 def test_pfor_windowed_estimate_picks_exact_width():
     """On a windowed chunk (> 2^17 values, stats sampled) the estimate
     prices exceptions at the full n: its width is the one _best_width

@@ -15,8 +15,7 @@ import pathlib
 PKG = pathlib.Path(__file__).resolve().parent.parent / "fsst_ray"
 
 ALLOWED = {
-    "FSST_ROUTE_ACK",  # exchange acknowledgement policy (auto/full/window)
-    "FSST_FAULT_ROUTE_ONCE_DIR",  # test hook: kill one route task
+    "FSST_FAULT_ROUTE_ONCE_DIR",  # test hook: kill one staging task
     "FSST_NATIVE_SO",  # test hook: load a prebuilt C kernel
     "FSST_RAY_DATA_DIR",  # where the synthetic corpus is cached
 }

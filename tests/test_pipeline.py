@@ -1,5 +1,5 @@
 """End-to-end Ray pipeline tests: encode -> decode -> per-row equality,
-skew bucketing, resume, exchange delivery guards."""
+skew bucketing, resume, pass-2 staging and delivery guards."""
 
 from __future__ import annotations
 
@@ -119,24 +119,6 @@ def test_checksum_detects_corruption(tokens_ds):
     assert a["rows"] == b["rows"] and a["checksum"] != b["checksum"]
 
 
-def test_incremental_flush_roundtrip(tokens_ds, tmp_path):
-    """Tiny flush/budget thresholds force many mid-stream row-group
-    flushes per bucket; round-trip must still be exact and manifest
-    totals must match a single-flush run."""
-    out = str(tmp_path / "enc_flush")
-    result = encode_dataset(
-        tokens_ds,
-        out,
-        chunk_tokens=1 << 12,
-        bucket_tokens=1 << 15,
-        writer_flush_tokens=1 << 12,
-        writer_budget_tokens=1 << 13,
-    )
-    assert result.metrics["rows"] == tokens_ds.count()
-    v = verify_roundtrip(tokens_ds, out)
-    assert v["match"], v
-
-
 def test_duplicate_doc_id_rejected(ray_session, tmp_path):
     import ray.data as rd
 
@@ -149,16 +131,14 @@ def test_duplicate_doc_id_rejected(ray_session, tmp_path):
         )
 
 
-def test_duplicate_doc_id_across_flushes_rejected(ray_session, tmp_path):
-    """Duplicated doc_ids that land in DIFFERENT flushes of the same
-    bucket must still raise (ADVICE r2 item 2): tiny flush threshold
-    forces a flush per add, duplicates arrive in separate blocks."""
+def test_duplicate_doc_id_across_blocks_rejected(ray_session, tmp_path):
+    """Duplicated doc_ids that arrive in DIFFERENT input blocks, and so
+    are staged as different fragments of the same bucket, must still
+    raise (ADVICE r2 item 2)."""
     import ray.data as rd
 
     rows = tokens_table(0.05)
-    # two blocks, each containing row 0 exactly once -> the duplicate
-    # pair reaches the bucket writer in two separate add()/flush calls
-    # (within-flush dedup never sees both rows together)
+    # two blocks, each containing row 0 exactly once
     t2 = rows.take(pa.array([0]))
     ds = rd.from_arrow(rows).union(rd.from_arrow(t2))
     with pytest.raises(Exception, match="duplicate doc_id"):
@@ -167,73 +147,7 @@ def test_duplicate_doc_id_across_flushes_rejected(ray_session, tmp_path):
             str(tmp_path / "enc_dup2"),
             chunk_tokens=1 << 14,
             bucket_tokens=1 << 15,
-            writer_flush_tokens=1,  # flush on every add
         )
-
-
-def test_exchange_narrowing_mixed_widths_roundtrip(ray_session, tmp_path):
-    """Exchange compression (wire-only uint16 narrowing) must be
-    transparent: blocks whose values fit uint16 travel narrowed,
-    blocks with values > 0xFFFF travel int32, BOTH land in the same
-    buckets (same sources), and the decode matches exactly. Tiny flush
-    threshold forces mixed-width buffers through _concat_bufs in both
-    the flush and compact paths."""
-    import ray.data as rd
-
-    from fsst_ray.pipelines.encode_job import _narrow_tokens, _widen_tokens
-
-    small = pa.table(
-        {
-            "doc_id": pa.array([f"s{i}" for i in range(40)], type=pa.string()),
-            "tokens": pa.array(
-                [[i % 7, 65535, 0, i] * 50 for i in range(40)],
-                type=pa.list_(pa.int32()),
-            ),
-            "source": pa.array(["mix"] * 40, type=pa.string()),
-        }
-    )
-    big = pa.table(
-        {
-            "doc_id": pa.array([f"b{i}" for i in range(40)], type=pa.string()),
-            "tokens": pa.array(
-                [[65536 + i, 2**30, 1, i] * 50 for i in range(40)],
-                type=pa.list_(pa.int32()),
-            ),
-            "source": pa.array(["mix"] * 40, type=pa.string()),
-        }
-    )
-    # unit: narrowing decision + inverse
-    ns = _narrow_tokens(small)
-    assert ns.schema.field("tokens").type == pa.list_(pa.uint16())
-    assert _widen_tokens(ns)["tokens"].to_pylist() == small["tokens"].to_pylist()
-    nb = _narrow_tokens(big)
-    assert nb.schema.field("tokens").type == pa.list_(pa.int32())
-
-    def with_ntok(t):
-        return t.append_column(
-            "n_tok",
-            pa.array([len(x) for x in t["tokens"].to_pylist()], type=pa.int32()),
-        )
-
-    ds = rd.from_arrow(with_ntok(small)).union(rd.from_arrow(with_ntok(big)))
-    out = str(tmp_path / "enc_narrow")
-    encode_dataset(
-        ds,
-        out,
-        chunk_tokens=1 << 10,
-        bucket_tokens=1 << 12,
-        writer_flush_tokens=256,  # flush nearly every add: mixed bufs
-    )
-    decoded = pa.Table.from_pylist(decode_dataset(out).take_all())
-    got = {
-        r["doc_id"]: r["tokens"] for r in decoded.to_pylist()
-    }
-    want = {
-        r["doc_id"]: r["tokens"]
-        for t in (with_ntok(small), with_ntok(big))
-        for r in t.to_pylist()
-    }
-    assert got == want
 
 
 @pytest.fixture
@@ -473,57 +387,10 @@ def test_encode_sort_keys_permutation_regression():
     assert got == rows
 
 
-def test_bucket_writer_compaction_and_delivery_check(tmp_path):
-    """Direct _BucketWriter unit: budget pressure compacts small
-    buffers (pinned accounting drops to zero, rows survive), and
-    finalize raises when delivered rows fall short of expected."""
-    from fsst_ray.codecs.select import DEFAULT_CODECS
-    from fsst_ray.pipelines.encode_job import _BucketWriter
-
-    def make_table(part: str, ids: list[int]):
-        return pa.table(
-            {
-                "doc_id": pa.array([f"{part}-{i}" for i in ids]),
-                "tokens": pa.array([[i, i + 1] for i in ids], type=pa.list_(pa.int32())),
-                "n_tok": pa.array([2] * len(ids), type=pa.int32()),
-                "source": pa.array(["s"] * len(ids)),
-                "part_key": pa.array([part] * len(ids)),
-            }
-        )
-
-    w = _BucketWriter(
-        str(tmp_path / "out"),
-        {},
-        chunk_tokens=1 << 10,
-        codecs=DEFAULT_CODECS,
-        flush_tokens=1 << 20,  # never flush on size
-        budget_tokens=1,  # every add trips the budget sweep
-    )
-    w.add(make_table("s:00000", [0, 1, 2]), send_id=("a", 1))
-    assert w.pinned_tokens == 0, "budget sweep must unpin small buffers"
-    st = w.parts["s:00000"]
-    assert st["rows"] == 3 and st["buf_tokens"] == 6
-    # compacted buffer owns tight child buffers (parent released)
-    child = st["bufs"][0]["tokens"].chunk(0).values
-    assert len(child) == 6
-    w.add(make_table("s:00000", [3]), send_id=("b", 1))
-    entries = w.finalize({"s:00000": 4})
-    assert entries[0]["rows"] == 4
-
-    # delivery check: a writer that received fewer rows than routed
-    w2 = _BucketWriter(
-        str(tmp_path / "out2"), {}, chunk_tokens=1 << 10, codecs=DEFAULT_CODECS
-    )
-    w2.add(make_table("s:00001", [0, 1]), send_id=("c", 1))
-    with pytest.raises(RuntimeError, match="expected"):
-        w2.finalize({"s:00001": 5})
-
-
 def test_route_worker_death_retry_dedup(tokens_ds, tmp_path, monkeypatch):
-    """Kill one routing worker AFTER its sends are in flight; Ray
-    reruns the task, the retry resends byte-identical sub-batches, and
-    the writers' content-addressed send-id dedup must keep the output
-    exact (no duplicated or lost rows)."""
+    """Kill one staging worker AFTER it wrote its fragments; Ray reruns
+    the task, the retry rewrites the same content-named fragments, and
+    the output must stay exact (no duplicated or lost rows)."""
     monkeypatch.setenv("FSST_FAULT_ROUTE_ONCE_DIR", str(tmp_path))
     out = str(tmp_path / "enc_fault")
     result = encode_dataset(
@@ -536,16 +403,143 @@ def test_route_worker_death_retry_dedup(tokens_ds, tmp_path, monkeypatch):
     assert v["match"], v
 
 
-@pytest.mark.parametrize("policy", ["none", "windw"])
-def test_route_ack_rejects_unknown_policy(tokens_ds, tmp_path, monkeypatch, policy):
-    """An FSST_ROUTE_ACK value other than auto/full/window (the retired
-    benchmark-only "none", or a typo) must raise before any task runs,
-    not silently drop per-task acknowledgement."""
-    monkeypatch.setenv("FSST_ROUTE_ACK", policy)
-    out = tmp_path / "enc_ack"
-    with pytest.raises(ValueError, match="FSST_ROUTE_ACK"):
-        encode_dataset(tokens_ds, str(out), chunk_tokens=1 << 14, bucket_tokens=1 << 15)
-    assert not out.exists()  # pass 1 never ran: no plan was written
+def _staged_bucket(tmp_path, rows: pa.Table):
+    """Stage `rows` (one source, one bucket) with the map-side function;
+    returns (out_dir, part_key, fragment paths, routed row count)."""
+    from fsst_ray.pipelines.encode_job import stage_batch
+
+    out = tmp_path / "out"
+    staged = pa.concat_tables(
+        stage_batch(
+            rows.slice(lo, 2),
+            staging=str(out / "_staging"),
+            bucket_plan={"s": 1},
+            key_tag="",
+            done=[],
+        )
+        for lo in range(0, rows.num_rows, 2)
+    )
+    assert set(staged["part_key"].to_pylist()) == {"s:00000"}
+    return str(out), "s:00000", staged["path"].to_pylist(), sum(staged["n_rows"].to_pylist())
+
+
+def test_encode_bucket_checks_routed_rows(tmp_path):
+    """encode_bucket raises, writing no bucket file and no manifest
+    entry, when its fragments hold other than the routed row count or a
+    doc_id twice; given the right count it writes the bucket and unlinks
+    its fragments."""
+    import pathlib
+
+    from fsst_ray.codecs.select import DEFAULT_CODECS
+    from fsst_ray.pipelines.encode_job import encode_bucket
+
+    ids = [0, 1, 2, 3, 4]
+    rows = pa.table(
+        {
+            "doc_id": pa.array([f"d-{i}" for i in ids]),
+            "tokens": pa.array([[i, i + 1] for i in ids], type=pa.list_(pa.int32())),
+            "n_tok": pa.array([2] * len(ids), type=pa.int32()),
+            "source": pa.array(["s"] * len(ids)),
+        }
+    )
+    out, key, frags, routed = _staged_bucket(tmp_path, rows)
+    assert routed == 5 and len(frags) == 3
+    kw = dict(key=key, out_dir=out, states={}, chunk_tokens=1 << 10, codecs=DEFAULT_CODECS)
+    with pytest.raises(RuntimeError, match="staged 5 rows, expected 6"):
+        encode_bucket(frags, expected=routed + 1, **kw)
+    assert not list(mf.chunks_dir(out).glob("*")) and not mf.load_manifest(out)
+
+    # the same row staged twice, as a retried task with different input
+    # blocks would leave it
+    dup, _, dup_frags, _ = _staged_bucket(tmp_path / "dup", rows.take(pa.array([0, 1, 1, 2])))
+    with pytest.raises(ValueError, match="duplicate doc_id"):
+        encode_bucket(dup_frags, expected=4, **{**kw, "out_dir": dup})
+    assert not list(mf.chunks_dir(dup).glob("*")) and not mf.load_manifest(dup)
+
+    res = encode_bucket(frags, expected=routed, **kw)
+    assert res["entry"]["rows"] == 5 and mf.load_manifest(out) == {key: res["entry"]}
+    assert (mf.chunks_dir(out) / res["entry"]["file"]).exists()
+    assert not any(pathlib.Path(f).exists() for f in frags)
+    decoded = decode_dataset(out).take_all()
+    assert sorted(r["doc_id"] for r in decoded) == rows["doc_id"].to_pylist()
+
+
+def test_chunk_bytes_independent_of_blocks(ray_session, tmp_path):
+    """The same rows encoded as one block and as 23 shuffled blocks give
+    byte-identical chunk files and equal manifest entries, also for a
+    bucket of more than 1M tokens (rows are ordered by doc_id per
+    bucket, not by arrival)."""
+    import ray.data as rd
+
+    from fsst_ray.stages.serialize import tokens_from_values
+
+    rng = np.random.default_rng(13)
+    n_tok = rng.integers(200, 2000, size=1400).astype(np.int32)
+    values = rng.integers(0, 5000, size=int(n_tok.sum())).astype(np.int32)
+    src = np.where(np.arange(len(n_tok)) % 5 == 0, "small", "big")
+    rows = pa.table(
+        {
+            "doc_id": pa.array([f"doc-{i:06d}" for i in range(len(n_tok))]),
+            "tokens": tokens_from_values(values, n_tok),
+            "n_tok": pa.array(n_tok),
+            "source": pa.array(src),
+        }
+    )
+    seen = {}
+    for name, blocks in (
+        ("one", [rows]),
+        ("shuffled", [rows.take(pa.array(b)) for b in np.array_split(rng.permutation(rows.num_rows), 23)]),
+    ):
+        out = str(tmp_path / name)
+        res = encode_dataset(rd.from_arrow(blocks), out, chunk_tokens=1 << 14, bucket_tokens=1 << 22)
+        seen[name] = _chunk_bytes(out), mf.load_manifest(out)
+    files, entries = seen["one"]
+    assert max(e["tokens"] for e in entries.values()) > 1 << 20, entries
+    assert res.bucket_plan == {"big": 1, "small": 1}
+    assert seen["shuffled"][0] == files
+    assert seen["shuffled"][1] == entries
+
+
+def test_pass2_executors_agree(ray_session, tmp_path, monkeypatch):
+    """An encode plus an append write the same chunk files and manifest
+    entries whether pass 2 encodes its buckets in the driver (the
+    rewrite bound forced up; no per-bucket Ray task may start) or as one
+    Ray task per bucket (bound forced to 0), and say which ran."""
+    import pathlib
+
+    import ray.data as rd
+
+    from fsst_ray import append_dataset
+    from fsst_ray.pipelines import executor
+
+    src = tokens_table(SCALE)
+    idx = np.arange(src.num_rows)
+    base, extra = (src.take(pa.array(idx[idx % 2 == r])) for r in (0, 1))
+
+    def refuse(fn):
+        raise AssertionError("Ray task started below the rewrite bound")
+
+    seen = {}
+    for name, bound in (("driver", 1 << 40), ("ray", 0)):
+        out = str(tmp_path / name)
+        with monkeypatch.context() as m:
+            m.setattr(executor, "_DRIVER_REWRITE_BYTES", bound)
+            if name == "driver":
+                m.setattr(executor, "_task", refuse)
+            results = [
+                encode_dataset(rd.from_arrow(base), out, chunk_tokens=1 << 14, bucket_tokens=1 << 15),
+                append_dataset(rd.from_arrow(extra), out),
+            ]
+        for res in results:
+            assert res.metrics["pass2"]["executor"] == name
+            assert res.metrics["pass2"]["staged_bytes"] > 0
+        assert not (pathlib.Path(out) / "_staging").exists()
+        seen[name] = (
+            _chunk_bytes(out),
+            mf.load_manifest(out),
+            [r.metrics["pass2"]["staged_bytes"] for r in results],
+        )
+    assert seen["driver"] == seen["ray"]
 
 
 def test_read_parquet_bundled_path_list_include_paths(ray_session, tmp_path):

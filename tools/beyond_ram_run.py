@@ -2,13 +2,17 @@
 whose raw token bytes exceed the Ray object-store budget several times
 over, recording peak memory alongside wall times (VERDICT r2 item 4).
 
-The writer-budget + hash-exchange design claims O(budget + parts x
-flush/2) memory independent of corpus size; this run demonstrates it
-end-to-end: a deliberately small object store (default 24 GiB) streams
-a corpus ~3x its size, and a sampler thread records the whole-VM
-memory-footprint peak (MemTotal - MemAvailable: heap + object store +
-page-cache-excluded) and the /dev/shm peak (the plasma store is
-shm-backed, so this bounds object-store residency + any tmpfs scratch).
+Pass 2 stages each bucket's rows on disk and encodes one bucket per
+running reduce task, so it claims memory of one bucket per task,
+independent of corpus size, and staging disk of at most the routed rows
+of the buckets not yet encoded (each bucket unlinks its fragments once
+its file is written). This run demonstrates it end-to-end: a
+deliberately small object store (default 24 GiB) streams a corpus ~3x
+its size, and a sampler thread records the whole-VM memory-footprint
+peak (MemTotal - MemAvailable: heap + object store +
+page-cache-excluded), the /dev/shm peak (the plasma store is
+shm-backed, so this bounds object-store residency + any tmpfs scratch)
+and the peak size of the encode's `_staging` directory.
 
 Disk, not RAM, caps the feasible scale in this sandbox (~68 GB free):
 scale 10000 = ~17.5B tokens = ~70 GB raw token bytes (~23 GB input
@@ -37,10 +41,12 @@ import time
 
 
 class MemSampler:
-    """1 Hz sampler of whole-VM used memory and /dev/shm usage; peaks
-    are tracked per named phase (mark() starts a new window)."""
+    """1 Hz sampler of whole-VM used memory, /dev/shm usage and the size
+    of the `staging` directory; peaks are tracked per named phase
+    (mark() starts a new window)."""
 
-    def __init__(self):
+    def __init__(self, staging: str):
+        self._staging = staging
         self._stop = threading.Event()
         self._lock = threading.Lock()
         self._phase = "idle"
@@ -61,15 +67,26 @@ class MemSampler:
         st = os.statvfs("/dev/shm")
         return (st.f_blocks - st.f_bavail) * st.f_frsize / 1e9
 
+    def _staging_gb(self) -> float:
+        total = 0
+        for root, _, files in os.walk(self._staging):
+            for f in files:
+                try:
+                    total += os.stat(os.path.join(root, f)).st_size
+                except FileNotFoundError:  # unlinked by its bucket
+                    pass
+        return total / 1e9
+
     def _run(self):
         while not self._stop.is_set():
-            used, shm = self._used_gb(), self._shm_gb()
+            used, shm, staged = self._used_gb(), self._shm_gb(), self._staging_gb()
             with self._lock:
                 p = self.peaks.setdefault(
-                    self._phase, {"used_gb": 0.0, "shm_gb": 0.0}
+                    self._phase, {"used_gb": 0.0, "shm_gb": 0.0, "staging_gb": 0.0}
                 )
                 p["used_gb"] = max(p["used_gb"], used)
                 p["shm_gb"] = max(p["shm_gb"], shm)
+                p["staging_gb"] = max(p["staging_gb"], staged)
             self._stop.wait(1.0)
 
     def mark(self, phase: str):
@@ -103,7 +120,7 @@ def main() -> None:
     args = ap.parse_args()
 
     os.environ.setdefault("POLARS_MAX_THREADS", "2")
-    sampler = MemSampler()
+    sampler = MemSampler(os.path.join(args.out_dir, "_staging"))
     sampler.start()
     baseline_gb = MemSampler._used_gb()
 
@@ -180,6 +197,7 @@ def main() -> None:
         "raw_over_object_store": round(raw_gb / obj_gb, 2),
         "baseline_used_gb": round(baseline_gb, 2),
         "peaks_by_phase": peaks,
+        "staging_peak_gb": max(p["staging_gb"] for p in peaks.values()),
         "timings_sec": {k: round(v, 1) for k, v in timings.items()},
         "encode_tokens_per_sec": round(total_tokens / timings["encode"]),
         "decode_tokens_per_sec": round(total_tokens / timings["decode_verify"]),

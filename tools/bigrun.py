@@ -3,16 +3,17 @@
 Streams a logical corpus much larger than the Ray object store — and on
 the default configuration, comparable to the whole VM's RAM — through
 the bucketed encode + decode/verify pipeline, and records peak machine
-memory while it runs. The writer-budget and exchange designs claim
-O(bounded) memory independent of input size; this run demonstrates it
-end-to-end instead of arguing it.
+memory while it runs. Pass 2 stages each bucket's rows on disk and
+encodes one bucket per running reduce task, so it claims O(bounded)
+memory independent of input size; this run demonstrates it end-to-end
+instead of arguing it.
 
 Shape: the cached scale-S synthetic corpus (disk parquet) is read
 N_LEGS times through ONE ReadParquet operator (a symlinked legs x
 files tree; the leg is decoded from each row's file path) with
 disjoint doc_id ranges per leg — the pipeline streams N_LEGS x the
 bytes without needing N_LEGS x the disk. Every leg is
-re-read from parquet, re-routed through the exchange and re-encoded
+re-read from parquet, re-staged through the exchange and re-encoded
 (identical text content across legs cannot be exploited anywhere:
 nothing dedups), so the streamed work is genuine. Pass 1 runs the
 full-scan path (no pruned input_path shortcut), so the input bytes are

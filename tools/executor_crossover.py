@@ -22,6 +22,16 @@ of the corpus under --work:
 - `compact_corpus` after 3 appends of --append-scale token rows under
   fresh id prefixes (every source's files merge into one).
 
+Encodes (pass 2's per-bucket encode, also under the rewrite bound),
+each run on a fresh copy of the corpus under --work:
+
+- `append_dataset` of token rows at 0.1, 0.3, 1, 3, 10 and 30 times
+  --append-scale under a fresh id prefix; the size is the staged
+  fragment bytes (`metrics["pass2"]["staged_bytes"]`). The map side and
+  pass 1 run the same way on both sides, so the difference is the
+  reduce side; its seconds (`pass2_encode`) are printed beside the
+  append's.
+
 With --cold every timed run, on either side, starts on a fresh Ray
 instance (`ray.shutdown()` then `ray.init()` just before it), as the
 first job of a CLI command does; by default Ray workers are warm.
@@ -30,7 +40,7 @@ Usage:
   python -c "from fsst_ray.sources.tokens import ensure_tokens_parquet as e; print(e(100))"
   python -m fsst_ray encode --input <that dir> --output /tmp/enc100 --num-cpus 4
   python tools/executor_crossover.py --encoded /tmp/enc100 --cpus 4 [--reps 3] \
-      [--jobs reads,rewrites] [--work DIR] [--append-scale 1] [--cold]
+      [--jobs reads,rewrites,encode] [--work DIR] [--append-scale 1] [--cold]
 
 Prints one JSON line per job: MiB on disk, rows (reads), median
 seconds of each executor over --reps runs, and ray_s / driver_s.
@@ -160,6 +170,8 @@ def main() -> None:
         }), flush=True)
     if "rewrites" in args.jobs:
         time_rewrites(args, enc, sources, ids_of, fresh)
+    if "encode" in args.jobs:
+        time_appends(args, enc, fresh)
     ray.shutdown()
 
 
@@ -215,6 +227,50 @@ def time_rewrites(args, enc, sources, ids_of, fresh) -> None:
             "driver_s": round(seen["driver"][0], 3),
             "ray_s": round(seen["ray"][0], 3),
             "ray_over_driver": round(seen["ray"][0] / seen["driver"][0], 2),
+        }), flush=True)
+    shutil.rmtree(work)
+
+
+def time_appends(args, enc, fresh) -> None:
+    import ray.data as rd
+
+    from fsst_ray import append_dataset, tokens_table
+    from fsst_ray.pipelines import executor
+    from fsst_ray.state import manifest as mf
+
+    work = tempfile.mkdtemp(prefix="xover_", dir=args.work)
+    for f in (0.1, 0.3, 1, 3, 10, 30):
+        extra = tokens_table(f * args.append_scale)
+        ids = pc.binary_join_element_wise("x", extra["doc_id"], "-")
+        extra = extra.set_column(extra.schema.get_field_index("doc_id"), "doc_id", ids)
+        seen = {}
+        for side, bound in (("driver", 1 << 40), ("ray", 0)):
+            executor._DRIVER_REWRITE_BYTES = bound
+            times, pass2 = [], []
+            for _ in range(args.reps):
+                d = os.path.join(work, "run")
+                shutil.copytree(enc, d)
+                fresh()
+                t0 = time.perf_counter()
+                res = append_dataset(rd.from_arrow(extra), d)
+                times.append(time.perf_counter() - t0)
+                pass2.append(res.metrics["timings"]["pass2_encode"])
+                entries = mf.load_manifest(d)
+                shutil.rmtree(d)
+            assert res.metrics["pass2"]["executor"] == side, (f, side)
+            seen[side] = (statistics.median(times), statistics.median(pass2), entries)
+        assert seen["driver"][2] == seen["ray"][2], f
+        print(json.dumps({
+            "cpus": args.cpus,
+            "workers": "cold" if args.cold else "warm",
+            "job": "append",
+            "append_scale": f * args.append_scale,
+            "staged_mib": round(res.metrics["pass2"]["staged_bytes"] / 2**20, 1),
+            "driver_s": round(seen["driver"][0], 3),
+            "ray_s": round(seen["ray"][0], 3),
+            "ray_over_driver": round(seen["ray"][0] / seen["driver"][0], 2),
+            "driver_pass2_s": round(seen["driver"][1], 3),
+            "ray_pass2_s": round(seen["ray"][1], 3),
         }), flush=True)
     shutil.rmtree(work)
 
