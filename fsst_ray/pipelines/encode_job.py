@@ -278,10 +278,10 @@ def encode_dataset(
         },
     ).take_all()
     expected: dict[str, int] = {}
-    fragments: dict[str, set] = {}
+    fragments: dict[str, list] = {}
     for r in staged:
         expected[r["part_key"]] = expected.get(r["part_key"], 0) + r["n_rows"]
-        fragments.setdefault(r["part_key"], set()).add(r["path"])
+        fragments.setdefault(r["part_key"], []).append(r["path"])
     # reduce: one encode_bucket call per bucket, in the driver or as
     # one Ray task per bucket (executor's rewrite bound)
     keys = sorted(expected)
