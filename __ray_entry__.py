@@ -996,6 +996,8 @@ def _q_lineitem_pricing(sf_dir: str):
     import numpy as np
     import pyarrow as pa
 
+    from fsst_ray.keyed import sum_by
+
     def partials(batch: pa.Table) -> pa.Table:
         rf = batch["l_returnflag"].to_numpy(zero_copy_only=False)
         ls = batch["l_linestatus"].to_numpy(zero_copy_only=False)
@@ -1008,7 +1010,7 @@ def _q_lineitem_pricing(sf_dir: str):
             {
                 "l_returnflag": pa.array(rf[first], type=pa.string()),
                 "l_linestatus": pa.array(ls[first], type=pa.string()),
-                "sum_qty": pa.array(np.bincount(inv, weights=qty).astype(np.int64)),
+                "sum_qty": pa.array(sum_by(inv, qty, len(uniq))),
                 "n": pa.array(np.bincount(inv).astype(np.int64)),
             }
         )
@@ -1143,7 +1145,7 @@ def _q_retention_cohorts(sf_dir: str):
 
 def _q_funnel_stages(sf_dir: str):
     """Ordered funnel view -> click -> purchase per user: one hash
-    exchange on user_id, K masked reduceat sweeps per block compute
+    exchange on user_id, K masked segment-min sweeps per block compute
     every user's whole funnel (no per-user Python)."""
     from fsst_ray.functions.analytics import funnel_stages
 
@@ -2060,29 +2062,19 @@ def _q_decode_point_lookup(sf_dir: str):
 def _doc_checksum_table(batch):
     """(doc_id, n_tok, checksum) with the order-sensitive per-row token
     checksum the flagship roundtrip uses (oracle-recomputable via
-    list_transform)."""
+    list_transform; `position_sums` raises where it could pass int64)."""
     import numpy as np
     import pyarrow as pa
 
+    from fsst_ray.keyed import position_sums
     from fsst_ray.stages.serialize import tokens_views
 
     values, offsets = tokens_views(batch)
-    lens = offsets[1:] - offsets[:-1]
-    pos = (
-        np.arange(len(values), dtype=np.int64)
-        - np.repeat(offsets[:-1], lens)
-        + 1
-    )
-    weighted = (values.astype(np.int64) + 1) * pos
-    row_sums = np.zeros(len(lens), dtype=np.int64)
-    nonempty = lens > 0
-    if len(values) and nonempty.any():
-        row_sums[nonempty] = np.add.reduceat(weighted, offsets[:-1][nonempty])
     return pa.table(
         {
             "doc_id": batch["doc_id"],
             "n_tok": batch["n_tok"],
-            "checksum": pa.array(row_sums, type=pa.int64()),
+            "checksum": pa.array(position_sums(values.astype(np.int64) + 1, offsets)),
         }
     )
 

@@ -34,6 +34,17 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..keyed import (
+    group_ids,
+    group_rank,
+    group_sizes,
+    group_starts,
+    segment_min,
+    segment_sum,
+    sorted_fold,
+    sum_by,
+)
+
 _RUNNING_EMPTY = pa.table(
     {
         "event_id": pa.array([], type=pa.int64()),
@@ -78,39 +89,27 @@ def running_totals(ds):
         )
 
     def per_block(block: pa.Table) -> pa.Table:
-        if block.num_rows == 0:
-            return _RUNNING_EMPTY
         users = block["user_id"].to_numpy(zero_copy_only=False)
         ts_us = block["ts_us"].to_numpy(zero_copy_only=False)
         eid = block["event_id"].to_numpy(zero_copy_only=False)
         cents = block["cents"].to_numpy(zero_copy_only=False)
         order = np.lexsort((eid, ts_us, users))
-        u = users[order]
-        c = cents[order]
-        n = len(u)
-        starts = np.concatenate([[0], np.flatnonzero(u[1:] != u[:-1]) + 1])
-        sizes = np.diff(np.concatenate([starts, [n]]))
-        group_start = np.repeat(starts, sizes)
+        u, c = users[order], cents[order]
+        rank = group_rank(group_starts(u), len(u))
         cs = np.cumsum(c)
-        # running sum just BEFORE each group's first row (0 for the
-        # block's first group), broadcast back to every row
-        base = np.concatenate([[0], cs[starts[1:] - 1]]) if len(starts) > 1 else np.zeros(1, np.int64)
+        # the block's running sum just BEFORE each row's group starts
+        head = np.arange(len(u)) - rank
         return pa.table(
             {
                 "event_id": pa.array(eid[order]),
                 "user_id": pa.array(u),
-                "rn": pa.array(np.arange(n, dtype=np.int64) - group_start + 1),
-                "cum_cents": pa.array(cs - np.repeat(base, sizes)),
+                "rn": pa.array(rank + 1),
+                "cum_cents": pa.array(cs - (cs[head] - c[head])),
             }
         )
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .sort("user_id")
-        .map_batches(
-            per_block, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
+    projected = ds.map_batches(project, batch_format="pyarrow")
+    return sorted_fold(projected, "user_id", per_block, _RUNNING_EMPTY)
 
 
 def _prune_topn(sources: np.ndarray, order_rank: np.ndarray, n: int) -> np.ndarray:
@@ -122,10 +121,7 @@ def _prune_topn(sources: np.ndarray, order_rank: np.ndarray, n: int) -> np.ndarr
     its group start.
     """
     s = sources[order_rank]
-    starts = np.concatenate([[0], np.flatnonzero(s[1:] != s[:-1]) + 1])
-    group_start = np.repeat(starts, np.diff(np.concatenate([starts, [len(s)]])))
-    rank = np.arange(len(s)) - group_start
-    return order_rank[rank < n]
+    return order_rank[group_rank(group_starts(s), len(s)) < n]
 
 
 def top_n_per_group(ds, n: int = 3):
@@ -194,7 +190,7 @@ def funnel_stages(
     Shape: map-side projection keeps only step-typed rows plus one
     per-block distinct-user sentinel row (so stage-0 users survive);
     ONE hash exchange on user_id; then a block-level pass computes
-    every user's whole funnel with K masked `minimum.reduceat` sweeps —
+    every user's whole funnel with K masked `segment_min` sweeps —
     no per-user Python, loop only over the K steps."""
     import pyarrow.compute as pc
 
@@ -235,19 +231,11 @@ def funnel_stages(
 
     def per_block(block: pa.Table) -> pa.Table:
         users = block["user_id"].to_numpy(zero_copy_only=False)
-        n = len(users)
-        if n == 0:
-            cols = {
-                "user_id": pa.array([], pa.int64()),
-                "stage": pa.array([], pa.int64()),
-            }
-            for k in range(len(step_list)):
-                cols[f"t{k + 1}_us"] = pa.array([], pa.int64())
-            return pa.table(cols)
         ts = block["ts_us"].to_numpy(zero_copy_only=False)
         et = block["etype"].to_numpy(zero_copy_only=False)
-        starts = np.concatenate([[0], np.flatnonzero(users[1:] != users[:-1]) + 1])
-        gid = np.cumsum(np.concatenate([[False], users[1:] != users[:-1]]))
+        starts = group_starts(users)
+        gid = group_ids(starts, len(users))
+        bounds = np.append(starts, len(users))
         prev = np.full(len(starts), -1, dtype=np.int64)  # -inf: ts >= 0 always
         cols = {"user_id": pa.array(users[starts].astype(np.int64))}
         stage = np.zeros(len(starts), dtype=np.int64)
@@ -256,7 +244,7 @@ def funnel_stages(
             if window_us is not None and k > 0:
                 ok &= ts <= prev[gid] + window_us
             arr = np.where(ok, ts, _TS_INF)
-            tk = np.minimum.reduceat(arr, starts)
+            tk = segment_min(arr, bounds)
             stage += (tk != _TS_INF).astype(np.int64)
             cols[f"t{k + 1}_us"] = pa.array(tk, mask=tk == _TS_INF)
             prev = tk
@@ -264,13 +252,8 @@ def funnel_stages(
         order = ["user_id", "stage"] + [f"t{k + 1}_us" for k in range(len(step_list))]
         return pa.table({c: cols[c] for c in order})
 
-    return (
-        events_ds.map_batches(project, batch_format="pyarrow")
-        .sort("user_id")
-        .map_batches(
-            per_block, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
+    projected = events_ds.map_batches(project, batch_format="pyarrow")
+    return sorted_fold(projected, "user_id", per_block)
 
 
 def retention_cohorts(events_ds, week_s: int = 7 * 24 * 3600):
@@ -316,22 +299,13 @@ def retention_cohorts(events_ds, week_s: int = 7 * 24 * 3600):
     def cells(block: pa.Table) -> pa.Table:
         users = block["user_id"].to_numpy(zero_copy_only=False)
         weeks = block["week"].to_numpy(zero_copy_only=False)
-        if len(users) == 0:
-            return pa.table(
-                {
-                    "cohort_week": pa.array([], pa.int64()),
-                    "week_offset": pa.array([], pa.int64()),
-                    "n_users": pa.array([], pa.int64()),
-                }
-            )
         # per-block projections are distinct only within their block —
         # the same (user, week) pair can arrive from several blocks, so
         # dedupe after the exchange (all of a user's rows co-locate)
         key = np.unique(users * np.int64(1 << 20) + weeks)
         users, weeks = key >> np.int64(20), key & np.int64((1 << 20) - 1)
-        starts = np.concatenate([[0], np.flatnonzero(users[1:] != users[:-1]) + 1])
-        gid = np.cumsum(np.concatenate([[False], users[1:] != users[:-1]]))
-        cohort = weeks[starts][gid]  # per-user min week (sorted)
+        starts = group_starts(users)
+        cohort = weeks[starts][group_ids(starts, len(users))]  # per-user min week
         # distinct (user, week) pairs in, so each (cohort, offset) pair
         # appears once per user: count directly
         key = cohort * np.int64(1 << 20) + (weeks - cohort)
@@ -347,9 +321,7 @@ def retention_cohorts(events_ds, week_s: int = 7 * 24 * 3600):
     pairs = events_ds.map_batches(
         project, batch_size=None, batch_format="pyarrow"
     )
-    per_block = pairs.sort("user_id").map_batches(
-        cells, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-    )
+    per_block = sorted_fold(pairs, "user_id", cells)
     # matrix-sized reduce: weeks x weeks cells regardless of corpus size
     agg = per_block.groupby(["cohort_week", "week_offset"]).sum("n_users")
     return agg.map_batches(
@@ -474,8 +446,6 @@ def event_deltas(ds):
         )
 
     def per_block(block: pa.Table) -> pa.Table:
-        if block.num_rows == 0:
-            return _DELTAS_EMPTY
         users = block["user_id"].to_numpy(zero_copy_only=False)
         ts_us = block["ts_us"].to_numpy(zero_copy_only=False)
         eid = block["event_id"].to_numpy(zero_copy_only=False)
@@ -484,13 +454,12 @@ def event_deltas(ds):
         t = ts_us[order]
         e = eid[order]
         n = len(u)
-        first = np.concatenate([[True], u[1:] != u[:-1]])
         prev_e = np.empty(n, dtype=np.int64)
         gap = np.empty(n, dtype=np.int64)
         prev_e[1:] = e[:-1]
         gap[1:] = t[1:] - t[:-1]
         prev_e[0] = gap[0] = 0  # masked below
-        mask = pa.array(~first)
+        mask = pa.array(group_rank(group_starts(u), n) > 0)  # not a user's first
         return pa.table(
             {
                 "event_id": pa.array(e),
@@ -502,13 +471,30 @@ def event_deltas(ds):
             }
         )
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .sort("user_id")
-        .map_batches(
-            per_block, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
+    projected = ds.map_batches(project, batch_format="pyarrow")
+    return sorted_fold(projected, "user_id", per_block, _DELTAS_EMPTY)
+
+
+def _combos(arrs: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Distinct row combinations of several key columns: (the key values
+    of each combination, per column; each row's combination index).
+    Combinations pack mixed-radix into one int64, which holds while the
+    product of the columns' distinct counts stays below 2^63
+    (ValueError otherwise)."""
+    uniqs, combo, radix = [], np.zeros(len(arrs[0]), dtype=np.int64), 1
+    for a in arrs:
+        u, code = np.unique(a, return_inverse=True)
+        radix *= len(u)
+        if radix >= 1 << 63:
+            raise ValueError("group key combinations exceed the int64 pack")
+        uniqs.append(u)
+        combo = combo * len(u) + code
+    uc, inv = np.unique(combo, return_inverse=True)
+    values = []
+    for u in reversed(uniqs):
+        values.append(u[uc % len(u)])
+        uc = uc // len(u)
+    return values[::-1], inv
 
 
 def rollup_aggregate(ds, group_cols: list[str], value_col: str,
@@ -550,25 +536,12 @@ def rollup_aggregate(ds, group_cols: list[str], value_col: str,
             arrs.append(col.to_numpy(zero_copy_only=False))
         val = batch[value_col].to_numpy(zero_copy_only=False)
         cents = np.floor(val * 100.0).astype(np.int64)
-        # pack per-batch codes of all group cols into one int64
-        uniqs, combo = [], np.zeros(batch.num_rows, dtype=np.int64)
-        for a in arrs:
-            u, code = np.unique(a, return_inverse=True)
-            uniqs.append(u)
-            combo = combo * len(u) + code
-        uc, inv = np.unique(combo, return_inverse=True)
-        sums = np.bincount(inv, weights=cents).astype(np.int64)
-        ns = np.bincount(inv).astype(np.int64)
-        out = {}
-        rem = uc
-        for c, u in zip(reversed(cols), reversed(uniqs)):
-            out[c] = pa.array(u[rem % len(u)], type=pa.string())
-            rem = rem // len(u)
+        values, inv = _combos(arrs)
         return pa.table(
             {
-                **{c: out[c] for c in cols},
-                "sum_cents": pa.array(sums),
-                "n": pa.array(ns),
+                **{c: pa.array(v, type=pa.string()) for c, v in zip(cols, values)},
+                "sum_cents": pa.array(sum_by(inv, cents, len(values[0]))),
+                "n": pa.array(np.bincount(inv).astype(np.int64)),
             }
         )
 
@@ -614,20 +587,12 @@ def rollup_aggregate(ds, group_cols: list[str], value_col: str,
     ns = finest["n"].to_numpy(zero_copy_only=False)
     for keep in grouping_sets:
         if keep:
-            arrs = [finest[c].to_numpy(zero_copy_only=False) for c in keep]
-            uniqs, combo = [], np.zeros(finest.num_rows, dtype=np.int64)
-            for a in arrs:
-                u, code = np.unique(a, return_inverse=True)
-                uniqs.append(u)
-                combo = combo * len(u) + code
-            uc, inv = np.unique(combo, return_inverse=True)
-            ls = np.bincount(inv, weights=sums).astype(np.int64)
-            ln = np.bincount(inv, weights=ns).astype(np.int64)
-            cols_out, rem = {}, uc
-            for c, u in zip(reversed(keep), reversed(uniqs)):
-                cols_out[c] = pa.array(u[rem % len(u)], type=pa.string())
-                rem = rem // len(u)
-            n_rows = len(uc)
+            values, inv = _combos(
+                [finest[c].to_numpy(zero_copy_only=False) for c in keep]
+            )
+            n_rows = len(values[0])
+            ls, ln = sum_by(inv, sums, n_rows), sum_by(inv, ns, n_rows)
+            cols_out = {c: pa.array(v, type=pa.string()) for c, v in zip(keep, values)}
         else:
             cols_out = {}
             ls = np.array([int(sums.sum())], dtype=np.int64)
@@ -713,39 +678,28 @@ def moving_sums(ds, k: int = 4):
         )
 
     def per_block(block: pa.Table) -> pa.Table:
-        if block.num_rows == 0:
-            return _MOVING_EMPTY
         users = block["user_id"].to_numpy(zero_copy_only=False)
         ts_us = block["ts_us"].to_numpy(zero_copy_only=False)
         eid = block["event_id"].to_numpy(zero_copy_only=False)
         cents = block["cents"].to_numpy(zero_copy_only=False)
         order = np.lexsort((eid, ts_us, users))
         u = users[order]
-        c = cents[order]
-        n = len(u)
-        starts = np.concatenate([[0], np.flatnonzero(u[1:] != u[:-1]) + 1])
-        sizes = np.diff(np.concatenate([starts, [n]]))
-        group_start = np.repeat(starts, sizes)
-        cs = np.cumsum(c)
-        idx = np.arange(n, dtype=np.int64)
-        lo = np.maximum(idx - k, group_start - 1)  # cumsum index BEFORE frame
+        rank = group_rank(group_starts(u), len(u))
+        cs = np.cumsum(cents[order])
+        idx = np.arange(len(u), dtype=np.int64)
+        lo = idx - np.minimum(rank + 1, k)  # cumsum index BEFORE frame
         prev = np.where(lo >= 0, cs[np.maximum(lo, 0)], 0)
         return pa.table(
             {
                 "event_id": pa.array(eid[order]),
                 "user_id": pa.array(u),
                 "win_cents": pa.array(cs - prev),
-                "win_n": pa.array(np.minimum(idx - group_start + 1, k)),
+                "win_n": pa.array(np.minimum(rank + 1, k)),
             }
         )
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .sort("user_id")
-        .map_batches(
-            per_block, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
+    projected = ds.map_batches(project, batch_format="pyarrow")
+    return sorted_fold(projected, "user_id", per_block, _MOVING_EMPTY)
 
 
 def unpivot(ds, id_col: str, value_cols: list[str],
@@ -798,8 +752,8 @@ def moment_stats(ds, x_col: str, y_col: str, group_col: str,
     ulp between reduction orders; the float correlation itself lives
     in `corr_from_moments`, pytest-verified).
 
-    Shape: ONE map-side partial pass (np.unique groups + bincount
-    weights per block) -> ONE group-cardinality groupby-sum; nothing
+    Shape: ONE map-side partial pass (np.unique groups + exact `sum_by`
+    per block) -> ONE group-cardinality groupby-sum; nothing
     corpus-sized shuffles.
 
     Exactness guard: callers declare |x| <= x_bound and |y| <= y_bound
@@ -823,7 +777,7 @@ def moment_stats(ds, x_col: str, y_col: str, group_col: str,
             )
         u, inv = np.unique(g, return_inverse=True)
         def bc(w):
-            return pa.array(np.bincount(inv, weights=w).astype(np.int64))
+            return pa.array(sum_by(inv, w, len(u)))
         return pa.table(
             {
                 group_col: pa.array(u, type=pa.string()),
@@ -900,16 +854,6 @@ def group_concat(ds, key: str, val_col: str, order_cols: list[str], sep: str = "
         raise ValueError("group_concat: order_cols must be non-empty")
 
     def per_block(block: pa.Table) -> pa.Table:
-        n = block.num_rows
-        if n == 0:
-            # schema derived from the block so any key/value dtype works
-            return pa.table(
-                {
-                    key: block[key],
-                    "n": pa.array([], pa.int64()),
-                    "concat": pa.array([], pa.string()),
-                }
-            )
         keys = block[key].to_numpy(zero_copy_only=False)
         order_arrays = [
             block[c].to_numpy(zero_copy_only=False) for c in order_cols
@@ -917,29 +861,21 @@ def group_concat(ds, key: str, val_col: str, order_cols: list[str], sep: str = "
         # lexsort: last key is primary -> (order_cols reversed, then key)
         order = np.lexsort(tuple(reversed(order_arrays)) + (keys,))
         k = keys[order]
-        starts = np.flatnonzero(
-            np.concatenate([[True], k[1:] != k[:-1]])
-        ).astype(np.int32)
-        offsets = pa.array(
-            np.concatenate([starts, [n]]).astype(np.int32), pa.int32()
-        )
+        bounds = np.append(group_starts(k), len(k))
         vals = block[val_col]
         vals = vals.combine_chunks() if isinstance(vals, pa.ChunkedArray) else vals
-        sorted_vals = vals.take(pa.array(order))
-        lists = pa.ListArray.from_arrays(offsets, sorted_vals)
-        joined = pc.binary_join(lists, sep)
-        sizes = np.diff(np.concatenate([starts.astype(np.int64), [n]]))
+        lists = pa.ListArray.from_arrays(
+            pa.array(bounds, pa.int32()), vals.take(pa.array(order))
+        )
         return pa.table(
             {
-                key: pa.array(k[starts.astype(np.int64)]),
-                "n": pa.array(sizes.astype(np.int64)),
-                "concat": joined,
+                key: pa.array(k[bounds[:-1]]),
+                "n": pa.array(np.diff(bounds)),
+                "concat": pc.binary_join(lists, sep),
             }
         )
 
-    return ds.sort(key).map_batches(
-        per_block, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return sorted_fold(ds, key, per_block)
 
 
 def grouped_quantiles(ds, key: str, val_col: str, qs: list[tuple[str, int, int]]):
@@ -966,22 +902,18 @@ def grouped_quantiles(ds, key: str, val_col: str, qs: list[tuple[str, int, int]]
         if qd <= 0 or not (0 <= qn <= qd):
             raise ValueError(f"grouped_quantiles: bad quantile {label}: {qn}/{qd}")
 
+    max_den = max(qd for _, _, qd in qs)
+
     def per_block(block: pa.Table) -> pa.Table:
-        n = block.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    key: block[key],
-                    "n": pa.array([], pa.int64()),
-                    **{label: pa.array([], pa.int64()) for label, _, _ in qs},
-                }
-            )
         keys = block[key].to_numpy(zero_copy_only=False)
         vals = block[val_col].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.lexsort((vals, keys))
         k, v = keys[order], vals[order]
-        starts = np.concatenate([[0], np.flatnonzero(k[1:] != k[:-1]) + 1])
-        sizes = np.diff(np.concatenate([starts, [n]]))
+        starts = group_starts(k)
+        sizes = group_sizes(starts, len(k))
+        # the rank products below stay in int64 while (n + 1) * q_den does
+        if (int(sizes.max()) + 1) * max_den >= 1 << 63:
+            raise ValueError("grouped_quantiles: group size x q_den exceeds int64")
         cols = {
             key: pa.array(k[starts]),
             "n": pa.array(sizes.astype(np.int64)),
@@ -992,9 +924,7 @@ def grouped_quantiles(ds, key: str, val_col: str, qs: list[tuple[str, int, int]]
             cols[label] = pa.array(v[idx])
         return pa.table(cols)
 
-    return ds.sort(key).map_batches(
-        per_block, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return sorted_fold(ds, key, per_block)
 
 
 def grouped_mode(ds, key: str, val_col: str):
@@ -1005,7 +935,7 @@ def grouped_mode(ds, key: str, val_col: str):
     Shape: map-side (key, val) partial counts (one lexsort pass per
     batch — duplicate-heavy batches shrink before the exchange), then
     ONE range sort on the key and a single vectorized block pass that
-    folds pair counts (boundary reduceat) AND picks each key's mode in
+    folds pair counts (segment sums) AND picks each key's mode in
     place — no Ray hash aggregate anywhere: pair cardinality scales
     with the corpus, and the built-in groupby pays ~8 µs/group (the
     sum_per_key lesson, graph.py). Exchange bounded by distinct
@@ -1017,56 +947,28 @@ def grouped_mode(ds, key: str, val_col: str):
         # np.unique over a 2-column record view is fiddly across dtypes;
         # lexsort + boundary diff is the established generic pattern
         order = np.lexsort((v, k))
-        ks, vs = k[order], v[order]
-        n = len(ks)
-        if n == 0:
-            return pa.table(
-                {
-                    key: batch[key],
-                    val_col: batch[val_col],
-                    "cnt": pa.array([], pa.int64()),
-                }
-            )
-        first = np.ones(n, dtype=bool)
-        first[1:] = (ks[1:] != ks[:-1]) | (vs[1:] != vs[:-1])
-        starts = np.flatnonzero(first)
-        cnt = np.diff(np.concatenate([starts, [n]]))
-        idx = order[starts]
-        sub = batch.select([key, val_col]).take(pa.array(idx))
-        return sub.append_column("cnt", pa.array(cnt.astype(np.int64)))
+        starts = group_starts(k[order], v[order])
+        sub = batch.select([key, val_col]).take(pa.array(order[starts]))
+        return sub.append_column("cnt", pa.array(group_sizes(starts, len(order))))
 
     paired = ds.map_batches(partials, batch_format="pyarrow", batch_size=None)
 
     def pick_block(block: pa.Table) -> pa.Table:
-        n = block.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    key: block[key],
-                    "mode_val": block[val_col],
-                    "cnt": pa.array([], pa.int64()),
-                }
-            )
         k = block[key].to_numpy(zero_copy_only=False)
         v = block[val_col].to_numpy(zero_copy_only=False)
         c = block["cnt"].to_numpy(zero_copy_only=False).astype(np.int64)
         # fold partial counts of identical (key, val) pairs from
         # different input blocks: all rows of a key are co-located, so
-        # one lexsort + boundary reduceat gives global pair counts
+        # one lexsort + segment sum gives global pair counts
         order = np.lexsort((v, k))
         ks, vs = k[order], v[order]
-        first = np.ones(n, dtype=bool)
-        first[1:] = (ks[1:] != ks[:-1]) | (vs[1:] != vs[:-1])
-        starts = np.flatnonzero(first)
-        csum = np.add.reduceat(c[order], starts)
+        starts = group_starts(ks, vs)
+        csum = segment_sum(c[order], np.append(starts, len(order)))
         pk, pv = ks[starts], vs[starts]
         # per-key mode: order pairs by (key, cnt DESC, val ASC), first
         # pair per key boundary wins
         order2 = np.lexsort((pv, -csum, pk))
-        k2 = pk[order2]
-        first2 = np.ones(len(k2), dtype=bool)
-        first2[1:] = k2[1:] != k2[:-1]
-        sel = order2[first2]
+        sel = order2[group_starts(pk[order2])]
         idx = pa.array(order[starts][sel])
         return pa.table(
             {
@@ -1076,9 +978,7 @@ def grouped_mode(ds, key: str, val_col: str):
             }
         )
 
-    return paired.sort(key).map_batches(
-        pick_block, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return sorted_fold(paired, key, pick_block)
 
 
 def grouped_mad(ds, key: str, val_col: str, broadcast_rows: int = 50_000_000):

@@ -30,6 +30,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..keyed import sum_by
+
 _MERGES_SCHEMA = {
     "rank": pa.int64(),
     "l_sym": pa.string(),
@@ -88,11 +90,10 @@ def _merge_loop(words: list[str], cnts: np.ndarray, n_merges: int):
         valid = word_id[:-1] == word_id[1:]
         if not valid.any():
             break
+        # lossless: symbol ids count the distinct symbols, far below 2^31
         pack = (sym[:-1] << 32) | sym[1:]
-        pk = pack[valid]
-        w = cnts[word_id[:-1][valid]]
-        uniq_p, inv = np.unique(pk, return_inverse=True)
-        c = np.bincount(inv, weights=w).astype(np.int64)
+        uniq_p, inv = np.unique(pack[valid], return_inverse=True)
+        c = sum_by(inv, cnts[word_id[:-1][valid]], len(uniq_p))
         cmax = int(c.max())
         # tie-break on the SYMBOL STRINGS (the SQL oracle's ORDER BY
         # c DESC, l, r), not on internal ids
@@ -228,9 +229,7 @@ def bpe_apply(ds, merges: pa.Table, text_col: str = "text"):
         ]
         uniq, inv = np.unique(words_np, return_inverse=True)
         tok_per_word = _apply_merges(uniq.tolist(), mp)
-        per_doc_tokens = np.bincount(
-            doc_idx, weights=tok_per_word[inv], minlength=batch.num_rows
-        ).astype(np.int64)
+        per_doc_tokens = sum_by(doc_idx, tok_per_word[inv], batch.num_rows)
         per_doc_words = np.bincount(doc_idx, minlength=batch.num_rows).astype(
             np.int64
         )

@@ -32,6 +32,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..keyed import segment_sum
 from .textstats import _fp_con, _word_lists
 
 N_BUCKETS = 4096
@@ -77,10 +78,7 @@ def score_batch(batch: pa.Table, weights: np.ndarray, n_buckets: int) -> pa.Tabl
         buckets = _bucket_distinct(dict_arr.dictionary, n_buckets)
         per_word = weights[buckets][dict_arr.indices.to_numpy(zero_copy_only=False)]
         offsets = np.asarray(words.offsets, dtype=np.int64)
-        offsets = offsets - offsets[0]
-        nonempty = offsets[:-1] < offsets[1:]
-        if nonempty.any():
-            score[nonempty] = np.add.reduceat(per_word, offsets[:-1][nonempty])
+        score = segment_sum(per_word, offsets - offsets[0])
     return pa.table(
         {
             "doc_id": batch["doc_id"],

@@ -20,6 +20,15 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..keyed import (
+    group_ids,
+    group_rank,
+    group_starts,
+    segment_sum,
+    sorted_fold,
+    sorted_isin,
+    sum_by,
+)
 from .textstats import langid_batch, quality_batch
 
 
@@ -327,14 +336,8 @@ def decontaminate(ds, eval_mod: int = 97, min_hits: int = 1):
             return empty
         sub = batch.take(pa.array(idx))
         sh, off = _batch_shingles(sub)
-        esh = ray.get(ref)  # zero-copy view from the object store
-        pos = np.searchsorted(esh, sh)
-        hit = np.zeros(len(sh), dtype=np.int64)
-        if len(esh):
-            inb = pos < len(esh)
-            hit[inb] = (esh[pos[inb]] == sh[inb]).astype(np.int64)
-        csum = np.concatenate([[0], np.cumsum(hit)])
-        n_hits = csum[off[1:]] - csum[off[:-1]]
+        # the eval set is a zero-copy view from the object store
+        n_hits = segment_sum(sorted_isin(ray.get(ref), sh), off)
         return pa.table(
             {
                 "doc_id": pa.array(ids[idx], type=pa.int64()),
@@ -446,24 +449,19 @@ def blocklist_filter(ds, blocklist_fps, n_bits: int = 1 << 17, n_hashes: int = 7
         )
 
     def verified_drops(block: pa.Table) -> pa.Table:
-        # sorted by fp: per-group any(is_block) via reduceat, then emit
+        # sorted by fp: per-group count of blocklist rows, then emit
         # the candidate doc_ids of flagged groups
         fp = block["fp"].to_numpy(zero_copy_only=False)
         ids = block["doc_id"].to_numpy(zero_copy_only=False)
         isb = block["is_block"].to_numpy(zero_copy_only=False)
-        if len(fp) == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64())})
-        starts = np.concatenate([[0], np.flatnonzero(fp[1:] != fp[:-1]) + 1])
-        grp = np.cumsum(np.concatenate([[False], fp[1:] != fp[:-1]]))
-        has_block = np.maximum.reduceat(isb, starts)
-        drop = (has_block[grp] == 1) & (isb == 0)
+        starts = group_starts(fp)
+        n_block = segment_sum(isb, np.append(starts, len(fp)))
+        drop = (n_block[group_ids(starts, len(fp))] > 0) & (isb == 0)
         return pa.table({"doc_id": pa.array(ids[drop].astype(np.int64))})
 
     cand = ds.map_batches(candidates, batch_format="pyarrow")
     tagged = cand.union(blocklist_fps.map_batches(block_rows, batch_format="pyarrow"))
-    drops = tagged.sort("fp").map_batches(
-        verified_drops, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-    )
+    drops = sorted_fold(tagged, "fp", verified_drops)
     # bounded by |blocklist ∩ corpus| + Bloom false positives that share
     # a fingerprint with a blocked doc (i.e. none) — blocklist-sized
     drop_ids = np.unique(
@@ -472,8 +470,6 @@ def blocklist_filter(ds, blocklist_fps, n_bits: int = 1 << 17, n_hashes: int = 7
     drop_ref = ray.put(drop_ids)
 
     def survivors(batch: pa.Table) -> pa.Table:
-        from .dedup import sorted_isin
-
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         bad = sorted_isin(ray.get(drop_ref), ids)
         return pa.table({"doc_id": pa.array(ids[~bad])})
@@ -602,7 +598,7 @@ def mix_corpus(ds, target_weight, weight_col: str = "n_chars",
         return pa.table(
             {
                 source_col: pa.array(u, type=pa.string()),
-                "total": pa.array(np.bincount(inv, weights=w).astype(np.int64)),
+                "total": pa.array(sum_by(inv, w, len(u))),
             }
         )
 
@@ -737,60 +733,23 @@ def cap_per_key(ds, key: str = "source", n: int = 100, id_col: str = "doc_id"):
 
     Shape (the top_n_per_group bound + the min_per_key finish, because
     key cardinality here is UNBOUNDED — domains scale with the corpus,
-    so the per-group finalize must not be map_groups): stage 1 prunes
-    each block to <= n rows per key map-side (vectorized hash-rank),
-    bounding the exchange to n x keys x blocks rows; stage 2 is ONE
-    range sort on the key + a vectorized per-block rank pass. Exact by
-    the top-n-of-block argument: a global top-n row is a top-n row of
-    its own block.
+    so the per-group finalize must not be map_groups): one vectorized
+    hash-rank `cap` keeps <= n rows per key of a table. It prunes each
+    block map-side, bounding the exchange to n x keys x blocks rows,
+    then runs again as a `sorted_fold` over the key. Exact by the
+    top-n-of-block argument: a global top-n row is a top-n row of its
+    own block.
     """
     if n < 1:
         raise ValueError("cap_per_key: n must be >= 1")
 
-    def prune(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({key: batch[key], id_col: batch[id_col]})
-        keys = batch[key].to_numpy(zero_copy_only=False)
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        h = _murmur64(ids)
-        order = np.lexsort((ids, h, keys))
-        k_sorted = keys[order]
-        starts = np.concatenate(
-            [[0], np.flatnonzero(k_sorted[1:] != k_sorted[:-1]) + 1]
-        )
-        group_start = np.repeat(
-            starts, np.diff(np.concatenate([starts, [len(k_sorted)]]))
-        )
-        rank = np.arange(len(k_sorted)) - group_start
-        keep = np.sort(order[rank < n])
-        return pa.table(
-            {key: batch[key].take(pa.array(keep)), id_col: pa.array(ids[keep])}
-        )
-
-    def finish(block: pa.Table) -> pa.Table:
-        if block.num_rows == 0:
-            return pa.table({key: block[key], id_col: block[id_col]})
+    def cap(block: pa.Table) -> pa.Table:
         keys = block[key].to_numpy(zero_copy_only=False)
         ids = block[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        h = _murmur64(ids)
-        order = np.lexsort((ids, h, keys))
-        k_sorted = keys[order]
-        starts = np.concatenate(
-            [[0], np.flatnonzero(k_sorted[1:] != k_sorted[:-1]) + 1]
-        )
-        group_start = np.repeat(
-            starts, np.diff(np.concatenate([starts, [len(k_sorted)]]))
-        )
-        rank = np.arange(len(k_sorted)) - group_start
-        keep = np.sort(order[rank < n])
+        order = np.lexsort((ids, _murmur64(ids), keys))
+        keep = np.sort(order[group_rank(group_starts(keys[order]), len(order)) < n])
         return pa.table(
             {key: block[key].take(pa.array(keep)), id_col: pa.array(ids[keep])}
         )
 
-    return (
-        ds.map_batches(prune, batch_format="pyarrow")
-        .sort(key)
-        .map_batches(
-            finish, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
+    return sorted_fold(ds.map_batches(cap, batch_format="pyarrow"), key, cap)

@@ -27,6 +27,15 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..keyed import (
+    group_sizes,
+    group_starts,
+    segment_min,
+    segment_sum,
+    sorted_fold,
+    sorted_isin,
+)
+
 MERSENNE = np.uint64((1 << 61) - 1)
 
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
@@ -106,9 +115,7 @@ def _distinct_per_doc(
     distinct hashes and per-doc offsets into them."""
     order = np.lexsort((hashes, doc_idx))
     h, d = hashes[order], doc_idx[order]
-    keep = np.ones(len(h), dtype=bool)
-    if len(h) > 1:
-        keep[1:] = (h[1:] != h[:-1]) | (d[1:] != d[:-1])
+    keep = group_starts(d, h)
     h, d = h[keep], d[keep]
     offsets = np.zeros(n_docs + 1, dtype=np.int64)
     np.cumsum(np.bincount(d, minlength=n_docs), out=offsets[1:])
@@ -118,51 +125,27 @@ def _distinct_per_doc(
 # ---------------- exact / prefix dedup ----------------
 
 
-def sorted_isin(sorted_vals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vectorized membership of x in a SORTED array (the broadcast-
-    lookup primitive the map-side filters share): searchsorted + clip +
-    equality, correct on empty inputs."""
-    if len(sorted_vals) == 0 or len(x) == 0:
-        return np.zeros(len(x), dtype=bool)
-    pos = np.clip(np.searchsorted(sorted_vals, x), 0, len(sorted_vals) - 1)
-    return sorted_vals[pos] == x
-
-
 def min_per_key(ds, key: str, order_col: str, counts_col: str | None = None):
-    """Vectorized `groupby(key) -> min-order_col row per key`: range-sort
-    on the key (equal keys never straddle a block boundary — the same
-    property `_sorted_group_map_streaming` relies on), then ONE lexsort
-    + first-per-boundary pass per sorted block. Group count scales with
-    the corpus for dedup keys, so per-group Python dispatch
-    (`map_groups`) is the thing to avoid — this does zero per-group
-    calls. With `counts_col`, appends the per-key row count (the full
-    group is co-located, so the count is global)."""
+    """Vectorized `groupby(key) -> min-order_col row per key`: a
+    `sorted_fold` with ONE lexsort + first-per-group pass per sorted
+    block. Group count scales with the corpus for dedup keys, so
+    per-group Python dispatch (`map_groups`) is the thing to avoid —
+    this does zero per-group calls. With `counts_col`, appends the
+    per-key row count (the full group is co-located, so the count is
+    global)."""
 
     def first_rows(block: pa.Table) -> pa.Table:
-        n = block.num_rows
-        if n == 0:
-            out = block.take(pa.array([], type=pa.int64()))
-            if counts_col:
-                out = out.append_column(counts_col, pa.array([], type=pa.int64()))
-            return out
         keys = block[key].to_numpy(zero_copy_only=False)
         ids = block[order_col].to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, keys))
-        k = keys[order]
-        first = np.ones(n, dtype=bool)
-        first[1:] = k[1:] != k[:-1]
-        out = block.take(pa.array(order[first]))
+        starts = group_starts(keys[order])
+        out = block.take(pa.array(order[starts]))
         if counts_col:
-            bounds = np.flatnonzero(first)
-            cnt = np.diff(np.concatenate([bounds, [n]]))
-            out = out.append_column(
-                counts_col, pa.array(cnt.astype(np.int64), type=pa.int64())
-            )
+            cnt = group_sizes(starts, len(keys))
+            out = out.append_column(counts_col, pa.array(cnt, type=pa.int64()))
         return out
 
-    return ds.sort(key).map_batches(
-        first_rows, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return sorted_fold(ds, key, first_rows)
 
 
 def exact_dedup(ds, key_expr: str = "text"):
@@ -184,9 +167,7 @@ def exact_dedup(ds, key_expr: str = "text"):
         doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)
         keys = key.to_numpy(zero_copy_only=False)
         order = np.lexsort((doc_ids, keys))
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = keys[order][1:] != keys[order][:-1]
-        keep = order[first]
+        keep = order[group_starts(keys[order])]
         return batch.select(["doc_id", "text"]).append_column("dedup_key", key).take(
             pa.array(np.sort(keep))
         )
@@ -311,25 +292,12 @@ def segment_dedup(
         )
 
     def losers_block(block: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], type=pa.int64()),
-                "seg_idx": pa.array([], type=pa.int32()),
-            }
-        )
-        n = block.num_rows
-        if n == 0:
-            return empty
         h1 = block["h1"].to_numpy(zero_copy_only=False)
         h2 = block["h2"].to_numpy(zero_copy_only=False)
         d = block["doc_id"].to_numpy(zero_copy_only=False)
         i = block["seg_idx"].to_numpy(zero_copy_only=False)
         order = np.lexsort((i, d, h2, h1))
-        first = np.ones(n, dtype=bool)
-        first[1:] = (h1[order][1:] != h1[order][:-1]) | (
-            h2[order][1:] != h2[order][:-1]
-        )
-        lose = order[~first]
+        lose = np.delete(order, group_starts(h1[order], h2[order]))
         return pa.table(
             {
                 "doc_id": pa.array(d[lose], type=pa.int64()),
@@ -338,9 +306,7 @@ def segment_dedup(
         )
 
     projected = ds.map_batches(seg_rows, batch_format="pyarrow")
-    losers = projected.sort("h1").map_batches(
-        losers_block, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-    )
+    losers = sorted_fold(projected, "h1", losers_block)
     parts: list[np.ndarray] = []
     n_losers = 0
     for b in losers.iter_batches(batch_format="pyarrow"):
@@ -382,12 +348,7 @@ def segment_dedup(
         if len(row) == 0:
             return empty
         doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        keys = _seg_pairs(doc_ids[row], seg_idx)
-        if len(dropped):
-            pos = np.clip(np.searchsorted(dropped, keys), 0, len(dropped) - 1)
-            keep = dropped[pos] != keys
-        else:
-            keep = np.ones(len(keys), dtype=bool)
+        keep = ~sorted_isin(dropped, _seg_pairs(doc_ids[row], seg_idx))
         n_seg = np.bincount(row, minlength=batch.num_rows).astype(np.int64)
         n_kept = np.bincount(
             row[keep], minlength=batch.num_rows
@@ -460,16 +421,10 @@ def _batch_shingles(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
 def _minhash_signatures(shingles: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """(n_docs, PERMS) uint64 signature matrix: min over each doc's
     shingles of (a*x + b) mod 2^61-1, one vectorized pass per perm."""
-    n_docs = len(offsets) - 1
-    sig = np.full((n_docs, _MINHASH_PERMS), np.iinfo(np.uint64).max, dtype=np.uint64)
-    if len(shingles) == 0:
-        return sig
+    sig = np.empty((len(offsets) - 1, _MINHASH_PERMS), dtype=np.uint64)
     x = _mod_p(shingles)
-    nonempty = offsets[:-1] < offsets[1:]
-    starts = offsets[:-1][nonempty]
     for j in range(_MINHASH_PERMS):
-        vals = _mod_p(_mulmod_p(int(_MH_A[j]), x) + _MH_B[j])
-        sig[nonempty, j] = np.minimum.reduceat(vals, starts)
+        sig[:, j] = segment_min(_mod_p(_mulmod_p(int(_MH_A[j]), x) + _MH_B[j]), offsets)
     return sig
 
 
@@ -507,11 +462,7 @@ def _minhash_batch_state(batch: pa.Table):
     buckets = _band_buckets(sig)
     doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
 
-    digest = np.zeros(n_docs, dtype=np.uint64)
-    nonempty = offsets[:-1] < offsets[1:]
-    if len(shingles):
-        sums = np.add.reduceat(shingles, offsets[:-1][nonempty])
-        digest[nonempty] = sums
+    digest = segment_sum(shingles, offsets)  # uint64, wraps mod 2^64
     sig65 = np.hstack([sig, digest[:, None]])
 
     band_no = np.tile(np.arange(_LSH_BANDS, dtype=np.uint64), n_docs)
@@ -651,16 +602,11 @@ def _dedup_sorted_bucket_rows(block: pa.Table, cross: bool):
     else:
         order = np.lexsort((ids, bucket))
     b_s, i_s = bucket[order], ids[order]
-    keep = np.ones(n, dtype=bool)
-    same_key = (b_s[1:] == b_s[:-1]) & (i_s[1:] == i_s[:-1])
-    if cross:
-        s_s = sd_all[order]
-        same_key &= s_s[1:] == s_s[:-1]
-    keep[1:] = ~same_key
+    s_s = sd_all[order] if cross else None
+    keep = group_starts(b_s, i_s, *([s_s] if cross else []))
     order, b_s, i_s = order[keep], b_s[keep], i_s[keep]
     s_s = s_s[keep] if cross else None
-    m = len(order)
-    bounds = np.concatenate([[0], np.flatnonzero(b_s[1:] != b_s[:-1]) + 1, [m]])
+    bounds = np.append(group_starts(b_s), len(order))
     sizes = np.diff(bounds)
     row_sz = np.repeat(sizes, sizes)
     multi = np.flatnonzero(row_sz >= 2)
@@ -778,11 +724,8 @@ def minhash_pairs(ds, jaccard_threshold: float = 0.7):
     by one vectorized pass per block (zero per-bucket Python dispatch;
     see `_sorted_bucket_pairs_block`)."""
     bands = ds.map_batches(minhash_bands_batch, batch_format="pyarrow")
-    return bands.sort("bucket").map_batches(
-        _sorted_bucket_pairs_block(jaccard_threshold),
-        batch_size=None,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+    return sorted_fold(
+        bands, "bucket", _sorted_bucket_pairs_block(jaccard_threshold), _PAIR_EMPTY_AB
     )
 
 
@@ -903,16 +846,9 @@ def minhash_pairs_lean(
     import ray.data as rd
 
     bands = ds.map_batches(minhash_band_rows_batch, batch_format="pyarrow")
-    cands = (
-        bands.sort("bucket")
-        .map_batches(
-            _sorted_bucket_candidates_block(),
-            batch_size=None,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .materialize()
-    )
+    cands = sorted_fold(
+        bands, "bucket", _sorted_bucket_candidates_block(), _CAND_EMPTY
+    ).materialize()
     id_parts: list[np.ndarray] = []
     for b in cands.select_columns(["doc_a", "doc_b"]).iter_batches(
         batch_format="pyarrow"
@@ -953,8 +889,7 @@ def minhash_pairs_lean(
     sigm = np.vstack(sig_parts)
     order = np.argsort(sig_ids, kind="stable")
     sig_ids, sigm = sig_ids[order], sigm[order]
-    first = np.ones(len(sig_ids), dtype=bool)
-    first[1:] = sig_ids[1:] != sig_ids[:-1]
+    first = group_starts(sig_ids)
     sig_ids, sigm = sig_ids[first], sigm[first]
     if not np.array_equal(sig_ids, cand_ids):
         raise RuntimeError(
@@ -1118,15 +1053,9 @@ def pair_recall_summary(exact_pairs, approx_pairs) -> pa.Table:
     membership count. (The previous union + groupby(doc_a, doc_b)
     aggregate built millions of single-row groups and dominated the
     query 10:1.) Pair keys pack (doc_a, doc_b) into one uint64; ids
-    must fit 32 bits (asserted) — at larger id spaces swap in a 128-bit
+    must fit 32 bits (ValueError) — at larger id spaces swap in a 128-bit
     pair digest."""
     import ray
-
-    def _pair_keys(t: pa.Table) -> np.ndarray:
-        a = t["doc_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t["doc_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        assert (a < (1 << 32)).all() and (b < (1 << 32)).all(), "pair ids exceed 32 bits"
-        return (a << np.uint64(32)) | b
 
     def key_rows(t: pa.Table) -> pa.Table:
         return pa.table({"k": pa.array(_pair_keys(t).astype(np.int64))})
@@ -1147,12 +1076,7 @@ def pair_recall_summary(exact_pairs, approx_pairs) -> pa.Table:
 
     def hits(t: pa.Table) -> pa.Table:
         ks = _pair_keys(t).astype(np.int64)
-        ek = ray.get(keys_ref)  # zero-copy view
-        pos = np.searchsorted(ek, ks)
-        found = 0
-        if len(ek) and len(ks):
-            inb = pos < len(ek)
-            found = int((ek[pos[inb]] == ks[inb]).sum())
+        found = int(sorted_isin(ray.get(keys_ref), ks).sum())  # zero-copy view
         return pa.table({"n_found": pa.array([found], type=pa.int64())})
 
     tot = approx_pairs.map_batches(hits, batch_format="pyarrow").sum("n_found")
@@ -1172,7 +1096,7 @@ def pair_recall_summary(exact_pairs, approx_pairs) -> pa.Table:
 def simhash_batch(batch: pa.Table) -> pa.Table:
     """64-bit SimHash per document from distinct-word hashes, fully
     vectorized: one hash pass over the batch's words, a (words x 64)
-    bit matrix, per-doc vote sums via reduceat."""
+    bit matrix, per-doc vote sums via `segment_sum`."""
     words = _word_lists(batch)
     flat, w_off = _flat_offsets(words)
     n_docs = batch.num_rows
@@ -1182,19 +1106,13 @@ def simhash_batch(batch: pa.Table) -> pa.Table:
     dh, offsets = _distinct_per_doc(wh, doc_of_word, n_docs)
 
     shifts = np.arange(64, dtype=np.uint64)
-    sim = np.zeros(n_docs, dtype=np.uint64)
-    nonempty = offsets[:-1] < offsets[1:]
-    if len(dh) and nonempty.any():
-        bits = ((dh[:, None] >> shifts) & np.uint64(1)).astype(np.int32)
-        votes = np.add.reduceat(bits * 2 - 1, offsets[:-1][nonempty], axis=0)
-        packed = ((votes > 0).astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
-        sim[nonempty] = packed
+    bits = ((dh[:, None] >> shifts) & np.uint64(1)).astype(np.int32)
+    votes = segment_sum(bits * 2 - 1, offsets)  # 0 for a doc with no words
+    sim = ((votes > 0).astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
     # exact order-independent distinct-word-set digest: different word
     # sets can still collide at hamming 0 (simhash is a 64-bit vote
     # aggregate), so exact-mode pair emission compares this digest
-    digest = np.zeros(n_docs, dtype=np.uint64)
-    if len(dh) and nonempty.any():
-        digest[nonempty] = np.add.reduceat(dh, offsets[:-1][nonempty])
+    digest = segment_sum(dh, offsets)  # uint64, wraps mod 2^64
     return pa.table(
         {
             "doc_id": batch["doc_id"],
@@ -1307,12 +1225,7 @@ def simhash_near_pairs(ds, max_hamming: int = 6):
     Returns a Dataset of (doc_a, doc_b, hamming)."""
     sigs = ds.map_batches(simhash_batch, batch_format="pyarrow")
     exploded = sigs.map_batches(_simhash_explode, batch_format="pyarrow")
-    return exploded.sort("bucket").map_batches(
-        _simhash_pairs_block(max_hamming),
-        batch_size=None,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+    return sorted_fold(exploded, "bucket", _simhash_pairs_block(max_hamming))
 
 
 def simhash_exact_pairs(ds):
@@ -1322,12 +1235,7 @@ def simhash_exact_pairs(ds):
     list."""
     sigs = ds.map_batches(simhash_batch, batch_format="pyarrow")
     exploded = sigs.map_batches(_simhash_explode, batch_format="pyarrow")
-    pairs = exploded.sort("bucket").map_batches(
-        _simhash_pairs_block(0, exact=True),
-        batch_size=None,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+    pairs = sorted_fold(exploded, "bucket", _simhash_pairs_block(0, exact=True))
     return pairs.map_batches(
         lambda t: t.select(["doc_a", "doc_b"]), batch_format="pyarrow"
     )
@@ -1411,39 +1319,40 @@ def _shingle_group_pair_chunks(df_cap: int, max_pairs: int = 1 << 22):
     return gen
 
 
+def _pair_keys(t: pa.Table) -> np.ndarray:
+    """(doc_a << 32 | doc_b) per pair row as uint64. Both ids must lie
+    in [0, 2^32): a wider id would alias another pair, so it raises
+    ValueError (not an assert, which `python -O` strips)."""
+    a = t["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64)
+    b = t["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64)
+    if len(a) and not (min(a.min(), b.min()) >= 0 and max(a.max(), b.max()) < 1 << 32):
+        raise ValueError("pair ids exceed 32 bits")
+    return (a.astype(np.uint64) << np.uint64(32)) | b.astype(np.uint64)
+
+
 def _sorted_group_map_streaming(ds, key: str, gen_fn, empty: pa.Table):
     """`groupby(key).map_groups(...)` with a STREAMING per-group UDF.
 
     map_groups requires each group's output to be ONE batch, so a hot
-    group must materialize its whole result. This helper performs the
-    same shuffle map_groups uses (a sort on the key — equal keys never
-    straddle a block boundary), then a generator map_batches UDF slices
+    group must materialize its whole result. This `sorted_fold` slices
     each sorted block into its key groups and yields the group UDF's
     chunk tables as they are produced: per-group output streams through
     Ray's output buffer (split into target-size blocks) instead of
     accumulating. `empty` fixes the output schema for blocks whose
     groups all yield nothing."""
 
-    def wrapper(block: pa.Table):
+    def groups(block: pa.Table):
         keys = block[key].to_numpy(zero_copy_only=False)
-        # boundary test via != so string keys work too (np.diff is
-        # numeric-only)
-        bounds = np.concatenate(
-            [[0], np.flatnonzero(keys[1:] != keys[:-1]) + 1, [len(keys)]]
-        )
+        bounds = np.append(group_starts(keys), len(keys))
         yielded = False
         for s, e in zip(bounds[:-1], bounds[1:]):
-            if e <= s:
-                continue
             for chunk in gen_fn(block.slice(s, e - s)):
                 yielded = True
                 yield chunk
         if not yielded:
             yield empty
 
-    return ds.sort(key).map_batches(
-        wrapper, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return sorted_fold(ds, key, groups, empty)
 
 
 def ngram_jaccard_pairs(
@@ -1461,7 +1370,7 @@ def ngram_jaccard_pairs(
     rows co-locate in one of a CONSTANT number of groups, each combined
     with one np.unique + bincount (the previous built-in aggregate
     keyed directly on the pair built ~1.1M single-row groups at sf0.1
-    and dominated the query 2:1). Ids must fit 32 bits (asserted, same
+    and dominated the query 2:1). Ids must fit 32 bits (ValueError, same
     convention as pair_recall_summary)."""
     from fractions import Fraction
 
@@ -1478,10 +1387,7 @@ def ngram_jaccard_pairs(
     )
 
     def pack(t: pa.Table) -> pa.Table:
-        a = t["doc_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t["doc_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        assert (a < (1 << 32)).all() and (b < (1 << 32)).all(), "pair ids exceed 32 bits"
-        key = (a << np.uint64(32)) | b
+        key = _pair_keys(t)
         return pa.table(
             {
                 "key": pa.array(key.astype(np.int64)),
@@ -1542,11 +1448,11 @@ def cross_minhash_pairs(train_ds, eval_ds, jaccard_threshold: float = 0.7):
     tagged = bands_t.map_batches(_tag_side(0), batch_format="pyarrow").union(
         bands_e.map_batches(_tag_side(1), batch_format="pyarrow")
     )
-    return tagged.sort("bucket").map_batches(
+    return sorted_fold(
+        tagged,
+        "bucket",
         _sorted_bucket_pairs_block(jaccard_threshold, cross=True),
-        batch_size=None,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+        _PAIR_EMPTY_AB,
     )
 
 
@@ -1589,6 +1495,14 @@ def fuzzy_decontaminate(train_ds, eval_ds, jaccard_threshold: float = 0.7):
 # retention_cohorts packing convention, ValueError-guarded
 _POS_BITS = 20
 _DOC_BITS = 43
+
+
+def _check_span_pack(doc_ids: np.ndarray) -> None:
+    """The (doc_id << 20 | pos) span key needs 0 <= doc_id < 2^43."""
+    if len(doc_ids) and not (doc_ids.min() >= 0 and doc_ids.max() < (1 << _DOC_BITS)):
+        # ValueError, not assert: survives `python -O` — silent key-pack
+        # corruption would mask the wrong spans
+        raise ValueError("ngram_span_dedup: doc_id exceeds the 43-bit pack")
 
 
 def _gram_occurrence_hashes(
@@ -1691,43 +1605,30 @@ def ngram_span_dedup(
         )
 
     def dup_block(block: pa.Table) -> pa.Table:
-        empty = pa.table({"key": pa.array([], type=pa.int64())})
-        n = block.num_rows
-        if n == 0:
-            return empty
         h1 = block["h1"].to_numpy(zero_copy_only=False)
         h2 = block["h2"].to_numpy(zero_copy_only=False)
         d = block["doc_id"].to_numpy(zero_copy_only=False)
         p = block["pos"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(d) and not (
-            d.min() >= 0 and d.max() < (1 << _DOC_BITS) and p.max() < (1 << _POS_BITS)
-        ):
+        _check_span_pack(d)
+        if p.max() >= (1 << _POS_BITS):
             # ValueError, not assert: survives `python -O` — silent
             # key-pack corruption would mask the wrong spans
             raise ValueError(
-                "ngram_span_dedup: doc_id/pos exceed the 43/20-bit pack "
+                "ngram_span_dedup: pos exceeds the 20-bit pack "
                 "(docs over 1M words need a wider position key)"
             )
         order = np.lexsort((p, d, h2, h1))
-        h1s, h2s = h1[order], h2[order]
-        new_group = np.concatenate(
-            [[True], (h1s[1:] != h1s[:-1]) | (h2s[1:] != h2s[:-1])]
-        )
-        gid = np.cumsum(new_group) - 1
-        sizes = np.bincount(gid)
-        dup = (~new_group) & (sizes[gid] >= min_count)
-        lose = order[dup]
+        starts = group_starts(h1[order], h2[order])
+        sizes = group_sizes(starts, len(order))
+        big = np.repeat(sizes >= min_count, sizes)
+        big[starts] = False  # the first occurrence of a gram stays
+        lose = order[big]
         return pa.table(
             {"key": pa.array(d[lose] * np.int64(1 << _POS_BITS) + p[lose])}
         )
 
-    dup_keys = (
-        ds.map_batches(gram_rows, batch_format="pyarrow")
-        .sort("h1")
-        .map_batches(
-            dup_block, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
+    grams = ds.map_batches(gram_rows, batch_format="pyarrow")
+    dup_keys = sorted_fold(grams, "h1", dup_block)
     parts: list[np.ndarray] = []
     n_dup = 0
     for b in dup_keys.iter_batches(batch_format="pyarrow"):
@@ -1767,9 +1668,13 @@ def ngram_span_dedup(
         total = int(lens.sum())
         diff = np.zeros(total + 1, dtype=np.int64)
         if len(dropped):
+            _check_span_pack(doc_ids)
             base = doc_ids * np.int64(1 << _POS_BITS)
+            # a doc's keys are base .. base + 2^20 - 1; base + 2^20 itself
+            # passes int64 for the largest doc_id
             lo = np.searchsorted(dropped, base)
-            hi = np.searchsorted(dropped, base + np.int64(1 << _POS_BITS))
+            last = base + np.int64((1 << _POS_BITS) - 1)
+            hi = np.searchsorted(dropped, last, side="right")
             counts = hi - lo
             rows = np.repeat(np.arange(batch.num_rows, dtype=np.int64), counts)
             gather = np.repeat(lo, counts) + (
@@ -1779,8 +1684,9 @@ def ngram_span_dedup(
             pos = dropped[gather] - base[rows]
             start = offsets[:-1][rows] + pos
             stop = np.minimum(start + k, offsets[1:][rows])
-            np.add.at(diff, start, 1)
-            np.add.at(diff, stop, -1)
+            diff = np.bincount(start, minlength=total + 1) - np.bincount(
+                stop, minlength=total + 1
+            )
         masked = np.cumsum(diff[:-1]) > 0
         keep = ~masked
         row_of_word = np.repeat(np.arange(batch.num_rows, dtype=np.int64), lens)

@@ -34,6 +34,13 @@ import numpy as np
 import pyarrow as pa
 
 from fsst_ray.functions.dedup import _sorted_group_map_streaming, min_per_key
+from fsst_ray.keyed import (
+    group_ids,
+    group_starts,
+    segment_sum,
+    sorted_fold,
+    sorted_isin,
+)
 
 _EDGE_SCHEMA = pa.schema([("k", pa.int64()), ("n", pa.int64())])
 _EDGE_EMPTY = pa.table({"k": pa.array([], pa.int64()), "n": pa.array([], pa.int64())})
@@ -68,35 +75,24 @@ def _bounded_snapshot(ds, rows_per_block: int = 1 << 18, max_blocks: int = 64):
 
 def sum_per_key(ds, key: str, value_cols: list[str]):
     """Vectorized `groupby(key).sum(value_cols)` for UNBOUNDED key
-    cardinality: one range sort on the key (equal keys never straddle
-    a block boundary), then ONE argsort + np.add.reduceat boundary
-    pass per block. Ray's built-in hash aggregate pays ~8 µs/group
+    cardinality: a `sorted_fold` with ONE argsort + segment-sum pass
+    per block. Ray's built-in hash aggregate pays ~8 µs/group
     (measured: ~33 s at 4M groups) — the high-cardinality trap
     token_histogram first hit; this shape pays the sort alone. Output
-    columns: key + value_cols, int64 sums."""
+    columns: key + value_cols, exact int64 sums."""
 
     def fold(block: pa.Table) -> pa.Table:
-        n = block.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    key: block[key],
-                    **{c: pa.array([], pa.int64()) for c in value_cols},
-                }
-            )
         keys = block[key].to_numpy(zero_copy_only=False)
         order = np.argsort(keys, kind="stable")
         k = keys[order]
-        starts = np.concatenate([[0], np.flatnonzero(k[1:] != k[:-1]) + 1])
-        cols = {key: pa.array(k[starts])}
+        bounds = np.append(group_starts(k), len(k))
+        cols = {key: pa.array(k[bounds[:-1]])}
         for c in value_cols:
             v = block[c].to_numpy(zero_copy_only=False).astype(np.int64)
-            cols[c] = pa.array(np.add.reduceat(v[order], starts))
+            cols[c] = pa.array(segment_sum(v[order], bounds))
         return pa.table(cols)
 
-    return ds.sort(key).map_batches(
-        fold, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return sorted_fold(ds, key, fold)
 
 
 def _canon_edges(doc_a: str, doc_b: str):
@@ -280,8 +276,6 @@ def assign_components(
         ref = ray.put((keys[order], vals[order]))
 
         def assign(batch: pa.Table) -> pa.Table:
-            from fsst_ray.functions.dedup import sorted_isin
-
             k, v = ray.get(ref)
             ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
             cluster = ids.copy()
@@ -439,28 +433,17 @@ def pagerank(
         )
 
     def price_block(block: pa.Table) -> pa.Table:
-        n = block.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "node": pa.array([], pa.int64()),
-                    "contrib": pa.array([], pa.int64()),
-                    "outdeg": pa.array([], pa.int64()),
-                }
-            )
         keys = block["_key"].to_numpy(zero_copy_only=False)
         side = block["_side"].to_numpy(zero_copy_only=False)
         order = np.lexsort((side, keys))
         k, s = keys[order], side[order]
-        starts = np.concatenate([[0], np.flatnonzero(k[1:] != k[:-1]) + 1])
+        starts = group_starts(k)
         if not (s[starts] == 0).all():
             raise ValueError(
                 "pagerank: edge group without a rank row — an edge source "
                 "is missing from the node table (exchange invariant broken)"
             )
-        gid = np.zeros(n, dtype=np.int64)
-        gid[starts[1:]] = 1
-        gid = np.cumsum(gid)
+        gid = group_ids(starts, len(k))
         import pyarrow.compute as _pc
 
         # fill_null BEFORE to_numpy: a nullable int64 column converts to
@@ -504,18 +487,11 @@ def pagerank(
         tagged = tagged_edges.union(
             ranks.map_batches(tag_ranks, batch_format="pyarrow")
         )
-        # collect = sum_per_key (sorted-block reduceat), NOT Ray's hash
-        # aggregate: measured 501 -> 103.5 s over 3 iterations at 24M
-        # edges / 8M nodes when this was groupby().sum()
+        # collect = sum_per_key (sorted-block segment sums), NOT Ray's
+        # hash aggregate: measured 501 -> 103.5 s over 3 iterations at
+        # 24M edges / 8M nodes when this was groupby().sum()
         summed = sum_per_key(
-            tagged.sort("_key").map_batches(
-                price_block,
-                batch_size=None,
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            ),
-            "node",
-            ["contrib", "outdeg"],
+            sorted_fold(tagged, "_key", price_block), "node", ["contrib", "outdeg"]
         )
 
         def refresh(batch: pa.Table) -> pa.Table:
@@ -612,18 +588,13 @@ def hop_distance(edges_ds, seeds: list[int], src: str = "src", dst: str = "dst",
         )
 
     def expand(block: pa.Table) -> pa.Table:
-        n = block.num_rows
         empty = pa.table({"node": pa.array([], pa.int64())})
-        if n == 0:
-            return empty
         keys = block["_key"].to_numpy(zero_copy_only=False)
         side = block["_side"].to_numpy(zero_copy_only=False)
         order = np.lexsort((side, keys))
         k, s = keys[order], side[order]
-        starts = np.concatenate([[0], np.flatnonzero(k[1:] != k[:-1]) + 1])
-        gid = np.zeros(n, dtype=np.int64)
-        gid[starts[1:]] = 1
-        gid = np.cumsum(gid)
+        starts = group_starts(k)
+        gid = group_ids(starts, len(k))
         in_frontier = np.zeros(len(starts), dtype=bool)
         in_frontier[gid[s == 0]] = True
         emask = (s == 1) & in_frontier[gid]
@@ -644,12 +615,7 @@ def hop_distance(edges_ds, seeds: list[int], src: str = "src", dst: str = "dst",
         tagged = tagged_edges.union(
             frontier.map_batches(tag_frontier, batch_format="pyarrow")
         )
-        cand = (
-            tagged.sort("_key")
-            .map_batches(
-                expand, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-            )
-        )
+        cand = sorted_fold(tagged, "_key", expand)
 
         def label(batch: pa.Table) -> pa.Table:
             return batch.append_column(

@@ -17,6 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..keyed import max_by, sum_by
+
 
 def json_int_field(ds, col: str, path: str, out_col: str):
     """Append `out_col` (int64, null where the path is absent/null or
@@ -44,7 +46,7 @@ def json_int_field(ds, col: str, path: str, out_col: str):
 def props_int_rollup(ds, group_col: str, json_col: str, path: str):
     """Per-`group_col` rollup of an integer JSON field: (group, n,
     n_present, sum_val, max_val). Map-side partials (one np.unique +
-    bincount/add/maximum pass per batch) keep the shuffle group-sized;
+    bincount/`sum_by`/`max_by` pass per batch) keep the shuffle group-sized;
     null extractions count toward n but not the aggregates (groups
     with no present value emit sum 0 / max NULL, matching the SQL
     convention COALESCE(SUM(x),0) / MAX(x))."""
@@ -65,19 +67,13 @@ def props_int_rollup(ds, group_col: str, json_col: str, path: str):
         # drop_null preserves order, so vi aligns with inv[present] —
         # values stay int64 end-to-end (no float round trip)
         vi = jx.drop_null().to_numpy(zero_copy_only=False).astype(np.int64)
-        # int64 scatter-add: bincount(weights=) sums in float64 and
-        # rounds values above 2**53
-        sums = np.zeros(k, dtype=np.int64)
-        np.add.at(sums, inv[present], vi)
-        maxs = np.full(k, np.iinfo(np.int64).min, dtype=np.int64)
-        np.maximum.at(maxs, inv[present], vi)
         return pa.table(
             {
                 group_col: pa.array(uniq),
                 "n": pa.array(n),
                 "n_present": pa.array(npres),
-                "sum_val": pa.array(sums),
-                "max_val": pa.array(maxs),
+                "sum_val": pa.array(sum_by(inv[present], vi, k)),
+                "max_val": pa.array(max_by(inv[present], vi, k)),
             }
         )
 

@@ -33,6 +33,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..keyed import group_sizes, group_starts, sum_by
+
 _SCALE = 10**6
 
 
@@ -91,12 +93,9 @@ def bigram_lm_score(ds, text_col: str = "text", id_col: str = "doc_id",
                 continue
             order = np.argsort(keys, kind="stable")
             k = keys[order]
-            first = np.ones(len(k), dtype=bool)
-            first[1:] = k[1:] != k[:-1]
-            starts = np.flatnonzero(first)
-            cnt = np.diff(np.concatenate([starts, [len(k)]]))
+            starts = group_starts(k)
             out_keys.append(np.char.add(tag, k[starts].astype(str)))
-            out_cnts.append(cnt.astype(np.int64))
+            out_cnts.append(group_sizes(starts, len(k)))
         if not out_keys:
             return pa.table(
                 {
@@ -167,9 +166,7 @@ def bigram_lm_score(ds, text_col: str = "text", id_col: str = "doc_id",
         c1 = w1c[p1]
         contrib = (_SCALE * c2) // c1
         n_per_doc = np.bincount(didx, minlength=batch.num_rows)
-        # int64-exact scatter-add (bincount weights round-trip float64)
-        s_per_doc = np.zeros(batch.num_rows, dtype=np.int64)
-        np.add.at(s_per_doc, didx, contrib)
+        s_per_doc = sum_by(didx, contrib, batch.num_rows)
         has = np.flatnonzero(n_per_doc > 0)
         return pa.table(
             {

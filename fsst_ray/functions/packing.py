@@ -31,6 +31,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..keyed import position_sums
+
 
 def pack_sequences(ds, seq_len: int = 4096):
     """(doc_id, offset, seq_first, seq_last): global token offset and
@@ -108,7 +110,7 @@ def split_windows(ds, seq_len: int = 512, stride: int = 384):
 
     Pure map-side flat expansion — no shuffle, no driver state; each
     batch computes its windows with repeat/arange index math and ONE
-    reduceat over gathered values (no Python loop over rows or
+    `position_sums` over gathered values (no Python loop over rows or
     windows). Emits (doc_id, win_idx, win_start, win_len,
     win_checksum) where win_checksum = sum((tok+1) * pos1based) —
     position-weighted so any token mispairing or misalignment changes
@@ -144,14 +146,9 @@ def split_windows(ds, seq_len: int = 512, stride: int = 384):
         g_base = np.concatenate([[0], np.cumsum(wlen)])
         flat = np.arange(int(g_base[-1])) - g_base[:-1].repeat(wlen)
         gidx = offsets[:-1][row].repeat(wlen) + wstart.repeat(wlen) + flat
-        toks = values[gidx].astype(np.int64)
-        weights = flat + 1  # 1-based position within the window
-        prod = (toks + 1) * weights
-        csum = np.add.reduceat(
-            np.concatenate([prod, [0]]), g_base[:-1]
-        )[: total]
-        # reduceat quirk: equal consecutive boundaries (zero-length
-        # windows) can't occur — wlen >= 1 whenever a window exists
+        # 1-based position within the window; raises where a window's
+        # sum could pass int64
+        csum = position_sums(values[gidx].astype(np.int64) + 1, g_base)
         ids = batch["doc_id"]
         if isinstance(ids, pa.ChunkedArray):
             ids = ids.combine_chunks()

@@ -28,6 +28,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..keyed import group_starts, sorted_fold
+
 _INT_TYPES = {pa.int8(), pa.int16(), pa.int32(), pa.int64()}
 
 
@@ -115,18 +117,6 @@ def profile_table(ds, columns: list[str]):
     # per-block pass folds stats rows (sum n/n_null, min/max of reprs
     # parsed from the packed field) and counts distinct values
     def fold(block: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "column": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-                "n_null": pa.array([], pa.int64()),
-                "n_distinct": pa.array([], pa.int64()),
-                "min_repr": pa.array([], pa.string()),
-                "max_repr": pa.array([], pa.string()),
-            }
-        )
-        if block.num_rows == 0:
-            return empty
         cols = block["column"].to_numpy(zero_copy_only=False)
         kinds = block["kind"].to_numpy(zero_copy_only=False)
         vals = block["value"].to_numpy(zero_copy_only=False)
@@ -134,11 +124,8 @@ def profile_table(ds, columns: list[str]):
         nnull = block["n_null"].to_numpy(zero_copy_only=False)
         out = {k: [] for k in ("column", "n", "n_null", "n_distinct", "min_repr", "max_repr")}
         order = np.argsort(cols, kind="stable")
-        c_sorted = cols[order]
-        starts = np.concatenate(
-            [[0], np.flatnonzero(c_sorted[1:] != c_sorted[:-1]) + 1, [len(c_sorted)]]
-        )
-        for s, e in zip(starts[:-1], starts[1:]):
+        bounds = np.append(group_starts(cols[order]), len(order))
+        for s, e in zip(bounds[:-1], bounds[1:]):
             idx = order[s:e]
             name = cols[idx[0]]
             smask = kinds[idx] == "s"
@@ -183,6 +170,4 @@ def profile_table(ds, columns: list[str]):
             }
         )
 
-    return rows.sort("column").map_batches(
-        fold, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return sorted_fold(rows, "column", fold)

@@ -22,6 +22,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..keyed import group_ids, group_starts, sorted_fold, sum_by
+
 
 def _sorted_lookup(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     """Positions of `keys` in `sorted_keys` (every key must be present —
@@ -83,7 +85,7 @@ def dim_lookup_rollup(fact_ds, supplier: pa.Table, nation: pa.Table, region: pa.
             {
                 "n_name": pa.array(d["n_name"][uniq], type=pa.string()),
                 "r_name": pa.array(d["r_name"][uniq], type=pa.string()),
-                "sum_qty": pa.array(np.bincount(inv, weights=qty).astype(np.int64)),
+                "sum_qty": pa.array(sum_by(inv, qty, len(uniq))),
                 "n": pa.array(np.bincount(inv).astype(np.int64)),
             }
         )
@@ -177,19 +179,12 @@ def hash_join(left_ds, right_ds, left_on: str, right_on: str, chunk_rows: int = 
     def join_block(block: pa.Table):
         keys = block["_join_key"].to_numpy(zero_copy_only=False)
         side = block["_side"].to_numpy(zero_copy_only=False)
-        n = len(keys)
-        if n == 0:
-            yield _empty(block.schema)
-            return
         # stable order by (key, side): within each key, left rows first
         order = np.lexsort((side, keys))
         keys, side = keys[order], side[order]
-        # group boundaries over the sorted keys
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(keys)) + 1])
+        starts = group_starts(keys)
         g_count = len(starts)
-        gid = np.zeros(n, dtype=np.int64)
-        gid[starts[1:]] = 1
-        gid = np.cumsum(gid)
+        gid = group_ids(starts, len(keys))
         lmask = side == 0
         nl = np.bincount(gid[lmask], minlength=g_count)
         nr = np.bincount(gid[~lmask], minlength=g_count)
@@ -253,9 +248,7 @@ def hash_join(left_ds, right_ds, left_on: str, right_on: str, chunk_rows: int = 
                 cols[c] = rt[c]
             yield pa.table(cols).select(out_names)
 
-    return tagged.sort("_join_key").map_batches(
-        join_block, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return sorted_fold(tagged, "_join_key", join_block)
 
 
 def interval_join(
@@ -351,17 +344,11 @@ def interval_join(
     def join_block(block: pa.Table):
         keys = block["_join_key"].to_numpy(zero_copy_only=False)
         side = block["_side"].to_numpy(zero_copy_only=False)
-        n = len(keys)
-        if n == 0:
-            yield _empty(block.schema)
-            return
         order = np.lexsort((side, keys))
         k, s = keys[order], side[order]
-        starts = np.concatenate([[0], np.flatnonzero(k[1:] != k[:-1]) + 1])
+        starts = group_starts(k)
         g_count = len(starts)
-        gid = np.zeros(n, dtype=np.int64)
-        gid[starts[1:]] = 1
-        gid = np.cumsum(gid)
+        gid = group_ids(starts, len(k))
         lmask = s == 0
         nl = np.bincount(gid[lmask], minlength=g_count)
         nr = np.bincount(gid[~lmask], minlength=g_count)
@@ -417,9 +404,7 @@ def interval_join(
         if kept == 0:
             yield _empty(block.schema)
 
-    return tagged.sort("_join_key").map_batches(
-        join_block, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return sorted_fold(tagged, "_join_key", join_block)
 
 
 def asof_join_events(events_ds, left_type: str = "purchase", right_type: str = "click"):
@@ -462,8 +447,6 @@ def asof_join_events(events_ds, left_type: str = "purchase", right_type: str = "
 
     def match_block(block: pa.Table) -> pa.Table:
         n = block.num_rows
-        if n == 0:
-            return empty
         et = block["event_type"].to_numpy(zero_copy_only=False)
         user = block["user_id"].to_numpy(zero_copy_only=False)
         ts = (
@@ -496,13 +479,8 @@ def asof_join_events(events_ds, left_type: str = "purchase", right_type: str = "
             }
         )
 
-    return (
-        events_ds.map_batches(project, batch_format="pyarrow")
-        .sort("user_id")
-        .map_batches(
-            match_block, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
+    projected = events_ds.map_batches(project, batch_format="pyarrow")
+    return sorted_fold(projected, "user_id", match_block, empty)
 
 
 def range_join_bands(ds, bands: list[tuple[int, float, float]], value_col: str = "value"):
@@ -610,27 +588,13 @@ def existence_join(left_ds, right_ds, left_on: str, right_on: str, how: str = "s
         keys = block["_join_key"].to_numpy(zero_copy_only=False)
         side = block["_side"].to_numpy(zero_copy_only=False)
         n = len(keys)
-        if n == 0:
-            return pa.table(
-                {
-                    left_on: pa.array([], type=block.schema.field("_join_key").type),
-                    **{
-                        c: pa.array([], type=block.schema.field(c).type)
-                        for c in left_cols
-                    },
-                }
-            )
         # blocks arrive key-sorted from the range exchange, but compute
         # boundaries defensively over an explicit stable sort order so
         # the pass stays correct on any input
         order = np.argsort(keys, kind="stable")
-        sk = keys[order]
-        starts = np.concatenate([[0], np.flatnonzero(sk[1:] != sk[:-1]) + 1])
-        gid_sorted = np.zeros(n, dtype=np.int64)
-        gid_sorted[starts[1:]] = 1
-        gid_sorted = np.cumsum(gid_sorted)
+        starts = group_starts(keys[order])
         gid = np.empty(n, dtype=np.int64)
-        gid[order] = gid_sorted
+        gid[order] = group_ids(starts, n)
         has_right = np.bincount(gid[side == 1], minlength=len(starts)) > 0
         keep = (side == 0) & (has_right[gid] if how == "semi" else ~has_right[gid])
         out = block.take(pa.array(np.flatnonzero(keep)))
@@ -638,9 +602,7 @@ def existence_join(left_ds, right_ds, left_on: str, right_on: str, how: str = "s
             {left_on: out["_join_key"], **{c: out[c] for c in left_cols}}
         ).select(out_names)
 
-    return tagged.sort("_join_key").map_batches(
-        filter_block, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return sorted_fold(tagged, "_join_key", filter_block)
 
 
 def order_priority_rollup(lineitem_ds, orders_ds):
@@ -658,7 +620,7 @@ def order_priority_rollup(lineitem_ds, orders_ds):
         return pa.table(
             {
                 "o_orderpriority": pa.array(uniq, type=pa.string()),
-                "sum_qty": pa.array(np.bincount(inv, weights=qty).astype(np.int64)),
+                "sum_qty": pa.array(sum_by(inv, qty, len(uniq))),
                 "n": pa.array(np.bincount(inv).astype(np.int64)),
             }
         )

@@ -31,6 +31,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..keyed import group_starts, sum_by
 from .curate import _murmur64
 
 _HASH_SPACE = 1 << 63  # hashes are (murmur64 >> 1): uniform on [0, 2^63)
@@ -245,7 +246,7 @@ def heavy_hitters(
     def combine(group: pa.Table) -> pa.Table:
         idx = group["idx"].to_numpy(zero_copy_only=False)
         cnt = group["cnt"].to_numpy(zero_copy_only=False)
-        sums = np.bincount(idx, weights=cnt, minlength=n_cand).astype(np.int64)
+        sums = sum_by(idx, cnt, n_cand)
         nz = np.flatnonzero(sums)
         return pa.table(
             {
@@ -370,12 +371,11 @@ def hll_registers(ds, key_col: str, group_col: str, p: int = _HLL_P):
         rank = shift - msb1 + 1  # w==0 -> shift+1, the HLL convention
         ug, gcode = np.unique(g, return_inverse=True)
         combo = gcode.astype(np.int64) * (1 << p) + bucket
-        # max rank per touched (group, bucket): sort by (combo, rank)
-        # and keep each combo's last row — no Python per group
-        order = np.lexsort((rank, combo))
-        sc, sr = combo[order], rank[order]
-        last = np.concatenate([sc[1:] != sc[:-1], [True]])
-        sc, sr = sc[last], sr[last]
+        # max rank per touched (group, bucket): sort by (combo, rank
+        # DESC) and keep each combo's first row — no Python per group
+        order = np.lexsort((-rank, combo))
+        first = order[group_starts(combo[order])]
+        sc, sr = combo[first], rank[first]
         return pa.table(
             {
                 group_col: pa.array(ug[sc // (1 << p)], type=pa.string()),

@@ -11,6 +11,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..keyed import group_ids, group_sizes, group_starts, max_by, segment_sum, sum_by
+
 # small per-language stopword lists for the n-gram/stopword language heuristic;
 # languages ordered alphabetically so argmax tie-breaking is deterministic
 # and mirrors the CASE evaluation order in the SQL oracle.
@@ -36,19 +38,20 @@ def _stop_counts(words: pa.ListArray, stopset: tuple[str, ...]) -> np.ndarray:
     flat = words.flatten()
     hits = pc.is_in(flat, value_set=pa.array(stopset)).to_numpy(zero_copy_only=False)
     offsets = np.asarray(words.offsets, dtype=np.int64)
-    offsets = offsets - offsets[0]
-    n = len(offsets) - 1
-    out = np.zeros(n, dtype=np.int64)
-    nonempty = offsets[:-1] < offsets[1:]
-    if hits.size and nonempty.any():
-        out[nonempty] = np.add.reduceat(hits.astype(np.int64), offsets[:-1][nonempty])
-    return out
+    return segment_sum(hits, offsets - offsets[0])
+
+
+def _lengths(arr) -> np.ndarray:
+    """int64 list or string lengths with a null row as 0: a null text has
+    no words and no characters (a null length would cast to int64 min)."""
+    return pc.fill_null(arr, 0).to_numpy(zero_copy_only=False).astype(np.int64)
 
 
 def word_stats_batch(batch: pa.Table) -> pa.Table:
-    """(doc_id, n_words, n_distinct, n_stop_en) per document."""
+    """(doc_id, n_words, n_distinct, n_stop_en) per document; a null
+    text counts 0 of each."""
     words = _word_lists(batch)
-    n_words = pc.list_value_length(words).to_numpy(zero_copy_only=False).astype(np.int64)
+    n_words = _lengths(pc.list_value_length(words))
     distinct = _list_distinct_len(words)
     return pa.table(
         {
@@ -64,19 +67,18 @@ def _list_distinct_len(words: pa.ListArray) -> pa.Array:
     import polars as pl
 
     s = pl.from_arrow(pa.table({"w": words})["w"])
-    return pa.array(s.list.n_unique().to_numpy().astype(np.int64), type=pa.int64())
+    return pa.array(
+        s.list.n_unique().fill_null(0).to_numpy().astype(np.int64), type=pa.int64()
+    )
 
 
 def quality_batch(batch: pa.Table) -> pa.Table:
     """Integer quality signals: length, words, distinct ratio proxy,
-    stopword hits (en), plus a 0-100 quality score."""
+    stopword hits (en), plus a 0-100 quality score; a null text scores
+    as an empty one."""
     words = _word_lists(batch)
-    n_words = pc.list_value_length(words).to_numpy(zero_copy_only=False).astype(np.int64)
-    n_chars = pc.utf8_length(
-        batch["text"].combine_chunks()
-        if isinstance(batch["text"], pa.ChunkedArray)
-        else batch["text"]
-    ).to_numpy(zero_copy_only=False).astype(np.int64)
+    n_words = _lengths(pc.list_value_length(words))
+    n_chars = _lengths(pc.utf8_length(batch["text"]))
     n_distinct = _list_distinct_len(words).to_numpy(zero_copy_only=False)
     n_stop = _stop_counts(words, STOPWORDS["en"])
     # integer score: clipped sum of scaled signals (stable across engines)
@@ -384,23 +386,17 @@ def length_outliers(ds, k_sigma: int = 3):
         src = batch["source"].to_numpy(zero_copy_only=False)
         x = batch["n_tok"].to_numpy(zero_copy_only=False).astype(np.int64)
         uniq, inv = np.unique(src, return_inverse=True)
-        n = np.bincount(inv)
-        # integer accumulation (np.add.at), NOT float bincount weights:
-        # sums of x*x pass 2^53 long before the int64 bound and float64
-        # would silently round them
-        s = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(s, inv, x)
-        s2 = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(s2, inv, x * x)
-        mx = np.zeros(len(uniq), dtype=np.int64)
-        np.maximum.at(mx, inv, x)
+        k = len(uniq)
+        # exact int64 sums: those of x*x pass 2^53 long before the int64
+        # bound. x*x and s2 wrap only where n * mx * mx passes 2^62,
+        # which the driver check below refuses (mx is exact either way)
         return pa.table(
             {
                 "source": pa.array(uniq.astype(str)),
-                "n": pa.array(n.astype(np.int64)),
-                "s": pa.array(s),
-                "s2": pa.array(s2),
-                "mx": pa.array(mx),
+                "n": pa.array(np.bincount(inv).astype(np.int64)),
+                "s": pa.array(sum_by(inv, x, k)),
+                "s2": pa.array(sum_by(inv, x * x, k)),
+                "mx": pa.array(max_by(inv, x, k)),
             }
         )
 
@@ -472,7 +468,7 @@ def winnow_batch(batch: pa.Table, k: int = 8, w: int = 16, max_len: int = 1024) 
     doubling scan (log2 w passes over the flat gram array, lookback
     clamped to each doc's start so partial head windows take prefix
     minima and docs never leak into each other); distinct-per-doc via
-    lexsort + boundary dedup + reduceat. Emits
+    lexsort + boundary dedup + segment sums. Emits
     (doc_id, n_fp, fp_sum = sum of distinct minima mod 2^61-1) —
     integers the SQL oracle recomputes exactly. Docs shorter than k
     emit nothing."""
@@ -516,8 +512,8 @@ def winnow_batch(batch: pa.Table, k: int = 8, w: int = 16, max_len: int = 1024) 
     h = grams["h"].to_numpy(zero_copy_only=False).copy()
     # longest doc must fit the static position table (mirrors the
     # split_windows oracle-cap guard: fail loudly, never diverge)
-    starts = np.concatenate([[0], np.flatnonzero(doc[1:] != doc[:-1]) + 1])
-    gid = np.cumsum(np.concatenate([[False], doc[1:] != doc[:-1]]))
+    starts = group_starts(doc)
+    gid = group_ids(starts, n)
     doc_start = starts[gid]
     # clamped doubling: after passes 1,2,4,8 (w=16), h[j] = min over
     # [max(doc_start, j-15) .. j] — exact windows past the head,
@@ -531,16 +527,17 @@ def winnow_batch(batch: pa.Table, k: int = 8, w: int = 16, max_len: int = 1024) 
     # distinct (doc, min) pairs: sort within doc groups, boundary dedup
     order = np.lexsort((h, gid))
     g_s, h_s = gid[order], h[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = (g_s[1:] != g_s[:-1]) | (h_s[1:] != h_s[:-1])
+    first = group_starts(g_s, h_s)
     g_u, h_u = g_s[first], h_s[first]
-    u_starts = np.concatenate([[0], np.flatnonzero(g_u[1:] != g_u[:-1]) + 1])
-    n_fp = np.diff(np.concatenate([u_starts, [len(g_u)]]))
+    u_starts = group_starts(g_u)
+    n_fp = group_sizes(u_starts, len(g_u))
     # exact mod-P sums without int64 overflow: split each fp into
-    # 32-bit halves (reduceat-exact), recombine per doc in Python ints
-    # — a per-DOC list comp (hundreds), never per-gram
-    lo = np.add.reduceat(h_u & 0xFFFFFFFF, u_starts)
-    hi = np.add.reduceat(h_u >> 32, u_starts)
+    # 32-bit halves (a doc's half-sums stay below 2^63 up to 2^31
+    # fingerprints), recombine per doc in Python ints — a per-DOC list
+    # comp (hundreds), never per-gram
+    bounds = np.append(u_starts, len(g_u))
+    lo = segment_sum(h_u & 0xFFFFFFFF, bounds)
+    hi = segment_sum(h_u >> 32, bounds)
     fp_sum = [
         int((int(a) * (1 << 32) + int(b)) % _WINNOW_P) for a, b in zip(hi, lo)
     ]

@@ -15,6 +15,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..keyed import sum_by
 from ..stages.serialize import tokens_views
 
 
@@ -108,7 +109,7 @@ def token_histogram(ds, k: int = 100, merge_partitions: int = 32) -> pa.Table:
     `token % merge_partitions`, so the groupby has a constant number of
     groups instead of one group per distinct token (the previous
     per-token groupby built ~431k single-row groups and took ~30x the
-    partials' time); each bucket combines with one np.unique + bincount
+    partials' time); each bucket combines with one np.unique + `sum_by`
     and emits its local top-k, and the driver merges
     <= k x merge_partitions candidate rows. A token's global count
     lives wholly in one bucket, so the top-k is exact."""
@@ -123,8 +124,7 @@ def token_histogram(ds, k: int = 100, merge_partitions: int = 32) -> pa.Table:
         tok = group["token"].to_numpy(zero_copy_only=False)
         cnt = group["n"].to_numpy(zero_copy_only=False)
         u, inv = np.unique(tok, return_inverse=True)
-        sums = np.bincount(inv, weights=cnt).astype(np.int64)
-        return _topk_by_count(u, sums, k)
+        return _topk_by_count(u, sum_by(inv, cnt, len(u)), k)
 
     cand = (
         ds.map_batches(_partial_counts, batch_format="pyarrow", batch_size=None)
@@ -145,12 +145,15 @@ def explode_tokens(ds):
     buffer-level flatten), doc_ids are one `take` over a repeat-index
     vector, positions are a global arange minus repeated row starts.
     Output preserves the list element type (int32) so the oracle's
-    unnest dtype matches without casts."""
+    unnest dtype matches without casts. A null list explodes to no
+    rows, as SQL UNNEST(NULL) does."""
 
     def flat(batch: pa.Table) -> pa.Table:
         col = batch["tokens"]
         arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        lens = pc.list_value_length(arr).to_numpy(zero_copy_only=False).astype(np.int64)
+        lens = pc.fill_null(pc.list_value_length(arr), 0).to_numpy(
+            zero_copy_only=False
+        ).astype(np.int64)
         n = len(lens)
         idx = np.repeat(np.arange(n, dtype=np.int64), lens)
         total = int(lens.sum())
@@ -239,8 +242,7 @@ def bigram_histogram(ds, k: int = 100, merge_partitions: int = 32) -> pa.Table:
         bg = group["bigram"].to_numpy(zero_copy_only=False)
         cnt = group["n"].to_numpy(zero_copy_only=False)
         u, inv = np.unique(bg, return_inverse=True)
-        sums = np.bincount(inv, weights=cnt).astype(np.int64)
-        return _topk_bigrams(u, sums, k)
+        return _topk_bigrams(u, sum_by(inv, cnt, len(u)), k)
 
     cand = (
         ds.map_batches(partial, batch_format="pyarrow", batch_size=None)

@@ -16,6 +16,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..keyed import group_sizes, group_starts, sorted_fold, sum_by
+
 
 def tumbling_counts(ds, hours: int = 1):
     """(event_type, window_start epoch s, n) via grouped aggregate.
@@ -142,39 +144,28 @@ def session_windows(ds, gap_minutes: int = 30):
         )
 
     def per_block(block: pa.Table) -> pa.Table:
-        if block.num_rows == 0:
-            return _EMPTY
         users = block["user_id"].to_numpy(zero_copy_only=False)
         ts_us = block["ts_us"].to_numpy(zero_copy_only=False)
         order = np.lexsort((ts_us, users))
         u = users[order]
         t = ts_us[order]
-        n = len(u)
-        new_user = np.empty(n, dtype=bool)
-        new_user[0] = True
-        np.not_equal(u[1:], u[:-1], out=new_user[1:])
-        gap_break = np.empty(n, dtype=bool)
-        gap_break[0] = True
-        np.greater(t[1:] - t[:-1], gap_us, out=gap_break[1:])
-        starts = np.flatnonzero(new_user | gap_break)
-        ends = np.concatenate([starts[1:], [n]])
+        # a session starts at each user's first event and after each gap
+        new = np.zeros(len(u), dtype=bool)
+        new[group_starts(u)] = True
+        new[1:] |= np.diff(t) > gap_us
+        starts = np.flatnonzero(new)
         return pa.table(
             {
                 "user_id": pa.array(u[starts]),
                 "session_start": pa.array(t[starts] // 1_000_000, type=pa.int64()),
-                "n_events": pa.array(ends - starts, type=pa.int64()),
+                "n_events": pa.array(group_sizes(starts, len(u)), type=pa.int64()),
             }
         )
 
     # return the Dataset itself — materializing/sorting all sessions on
     # the driver belongs to tests/oracles, not the operator
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .sort("user_id")
-        .map_batches(
-            per_block, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
+    projected = ds.map_batches(project, batch_format="pyarrow")
+    return sorted_fold(projected, "user_id", per_block, _EMPTY)
 
 
 def tumbling_distinct_users(ds, hours: int = 1):
@@ -212,41 +203,23 @@ def tumbling_distinct_users(ds, hours: int = 1):
     # pair-cardinality Ray aggregate (distinct pairs scale with
     # users x windows: the high-cardinality trap, graph.py:sum_per_key)
     def distinct_per_window(block: pa.Table) -> pa.Table:
-        n = block.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "window_start": pa.array([], pa.int64()),
-                    "n_users": pa.array([], pa.int64()),
-                }
-            )
         win = block["window_start"].to_numpy(zero_copy_only=False)
         uid = block["user_id"].to_numpy(zero_copy_only=False)
         order = np.lexsort((uid, win))
         w, u = win[order], uid[order]
-        pair_first = np.ones(n, dtype=bool)
-        pair_first[1:] = (w[1:] != w[:-1]) | (u[1:] != u[:-1])
-        wd = w[pair_first]
-        win_starts = np.concatenate(
-            [[0], np.flatnonzero(wd[1:] != wd[:-1]) + 1]
-        )
-        cnt = np.diff(np.concatenate([win_starts, [len(wd)]]))
+        wd = w[group_starts(w, u)]
+        win_starts = group_starts(wd)
         return pa.table(
             {
                 "window_start": pa.array(wd[win_starts].astype(np.int64)),
-                "n_users": pa.array(cnt.astype(np.int64)),
+                "n_users": pa.array(group_sizes(win_starts, len(wd))),
             }
         )
 
-    agg = (
-        ds.map_batches(pairs, batch_format="pyarrow", batch_size=None)
-        .sort("window_start")
-        .map_batches(
-            distinct_per_window,
-            batch_size=None,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
+    agg = sorted_fold(
+        ds.map_batches(pairs, batch_format="pyarrow", batch_size=None),
+        "window_start",
+        distinct_per_window,
     )
     return agg.map_batches(
         lambda t: (
@@ -403,14 +376,12 @@ def monthly_order_stats(ds, ts_col: str = "o_orderdate",
         ).astype(np.int64)
         key = y * 12 + (m - 1)
         uniq, inv = np.unique(key, return_inverse=True)
-        sums = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(sums, inv, cents)  # int64-exact scatter-add
         return pa.table(
             {
                 "year": pa.array(uniq // 12),
                 "month": pa.array(uniq % 12 + 1),
                 "n": pa.array(np.bincount(inv).astype(np.int64)),
-                "sum_cents": pa.array(sums),
+                "sum_cents": pa.array(sum_by(inv, cents, len(uniq))),
             }
         )
 

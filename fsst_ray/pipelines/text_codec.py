@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..keyed import position_sums
 from ..kernel import fsst, native
 
 
@@ -144,16 +145,8 @@ def float_list_roundtrip_groupby(ds, list_col: str, group_col: str, scale: int =
         payload, _ = encode_float_chunk(flat)
         decoded = decode_float_payload(payload)
         assert decoded.tobytes() == flat.tobytes(), "float list round-trip mismatch"
-        counts = np.diff(offsets)
-        pos = np.arange(len(decoded), dtype=np.int64) - np.repeat(offsets[:-1], counts) + 1
-        elem = np.floor(decoded.astype(np.float64) * scale).astype(np.int64) * pos
-        # reduceat needs indices < len(elem); trailing empty lists put
-        # offsets at len(elem) — clip them, their rows are zeroed below
-        idx = np.minimum(offsets[:-1], max(len(elem) - 1, 0))
-        row_sums = np.add.reduceat(elem, idx) if len(elem) else np.zeros(
-            len(counts), dtype=np.int64
-        )
-        row_sums = np.where(counts == 0, 0, row_sums)
+        elem = np.floor(decoded.astype(np.float64) * scale).astype(np.int64)
+        row_sums = position_sums(elem, offsets)
         return pa.table(
             {
                 group_col: batch[group_col],

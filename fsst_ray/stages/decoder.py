@@ -11,6 +11,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..codecs import decode_payload, decode_payload_into
+from ..keyed import position_sums, sum_by
 from ..kernel import native
 from ..sources.tokens import TOKENS_SCHEMA
 from .serialize import tokens_views
@@ -121,39 +122,24 @@ def tokens_summary_partials(batch: pa.Table) -> pa.Table:
     """Per-batch partial of the per-source roundtrip summary.
 
     checksum row term: sum_i (token_i + 1) * i with i 1-based — order
-    sensitive, SQL-expressible (DuckDB list_transform with index), and
-    int64-safe at test scales. Combine partials with a tiny groupby.
+    sensitive and SQL-expressible (DuckDB list_transform with index).
+    `position_sums` raises where a row's term could pass int64 (with
+    int32 token ids, rows beyond about 92k tokens; DuckDB sums in
+    HUGEINT); the per-source sums of row terms are exact int64. Combine
+    partials with a tiny groupby.
     """
     values, offsets = tokens_views(batch)
-    lens = offsets[1:] - offsets[:-1]
-    pos = np.arange(len(values), dtype=np.int64) - np.repeat(offsets[:-1], lens) + 1
-    weighted = (values.astype(np.int64) + 1) * pos
-    row_sums = np.zeros(len(lens), dtype=np.int64)
-    nonempty = lens > 0
-    if len(values) and nonempty.any():
-        row_sums[nonempty] = np.add.reduceat(weighted, offsets[:-1][nonempty])
+    row_sums = position_sums(values.astype(np.int64) + 1, offsets)
     sources = batch["source"].to_numpy(zero_copy_only=False)
     uniq, inv = np.unique(sources, return_inverse=True)
     return pa.table(
         {
             "source": pa.array(uniq, type=pa.string()),
             "n_docs": pa.array(np.bincount(inv), type=pa.int64()),
-            "total_tokens": pa.array(
-                np.bincount(inv, weights=lens).astype(np.int64), type=pa.int64()
-            ),
-            "checksum": pa.array(
-                _bincount_int64(inv, row_sums, len(uniq)), type=pa.int64()
-            ),
+            "total_tokens": pa.array(sum_by(inv, np.diff(offsets), len(uniq))),
+            "checksum": pa.array(sum_by(inv, row_sums, len(uniq))),
         }
     )
-
-
-def _bincount_int64(inv: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """np.bincount with float weights would round int64 > 2^53; sum
-    exactly with add.at instead."""
-    out = np.zeros(n, dtype=np.int64)
-    np.add.at(out, inv, weights)
-    return out
 
 
 def tokens_summary(ds):

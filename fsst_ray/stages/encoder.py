@@ -15,6 +15,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..codecs import encode_chunk
+from ..keyed import group_starts
 from .serialize import tokens_views
 from .trainer import _doc_priorities
 
@@ -91,11 +92,9 @@ def encode_rows_to_chunks(
         order = np.lexsort((sort_keys, sources))
     else:
         order = np.argsort(sources, kind="stable")
-    sorted_sources = sources[order]
-    boundaries = np.flatnonzero(sorted_sources[1:] != sorted_sources[:-1]) + 1
-    group_starts = np.concatenate([[0], boundaries, [len(sources)]])
-    for g in range(len(group_starts) - 1):
-        idx = order[group_starts[g] : group_starts[g + 1]]
+    bounds = np.append(group_starts(sources[order]), len(sources))
+    for g in range(len(bounds) - 1):
+        idx = order[bounds[g] : bounds[g + 1]]
         source = sources[idx[0]]
         state = states.get(source)
         key = part_key if part_key is not None else f"{source}:-0001"

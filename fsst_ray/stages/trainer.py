@@ -33,6 +33,7 @@ import pyarrow.compute as pc
 import ray
 
 from ..codecs.fsst_codec import train_with_ratio
+from ..keyed import group_sizes, group_starts, sum_by
 from ..kernel.fsst import FSST_SAMPLELINE, FSST_SAMPLEMAX, fsst_hash
 from .serialize import tokens_views
 
@@ -77,8 +78,8 @@ def _budget_prefix(codes: np.ndarray, priority: np.ndarray, size: np.ndarray) ->
     order = np.lexsort((priority, codes))
     codes, size = codes[order], size[order]
     before = np.cumsum(size) - size
-    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-    before -= np.repeat(before[starts], np.diff(np.r_[starts, len(codes)]))
+    starts = group_starts(codes)
+    before -= np.repeat(before[starts], group_sizes(starts, len(codes)))
     return order[before < FSST_SAMPLEMAX]
 
 
@@ -92,8 +93,7 @@ def _block(batch: pa.Table, n_tok: np.ndarray):
     lo, size = sample_spans(n_tok, priority)
     rows = np.flatnonzero(size)
     keep = rows[_budget_prefix(inv[rows], priority[rows], size[rows])]
-    mass = np.zeros(len(names), np.int64)
-    np.add.at(mass, inv, n_tok)
+    mass = sum_by(inv, n_tok, len(names))
     m, zeros = len(names), np.zeros(len(keep), np.int64)
     head = pa.table(
         {

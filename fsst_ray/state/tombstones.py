@@ -42,6 +42,7 @@ import pathlib
 import numpy as np
 import pyarrow as pa
 
+from ..keyed import sorted_isin
 from . import manifest as mf
 
 
@@ -95,8 +96,6 @@ def drop_dead(rows: pa.Table, dead: np.ndarray) -> pa.Table:
     """`rows` without those whose doc_id is in `dead`, the sorted
     tombstone set of `load_tombstones`: the one row filter every decode
     path applies, in the driver or mapped over a Ray Dataset."""
-    from ..functions.dedup import sorted_isin
-
     if len(dead) == 0:
         return rows
     ids = rows["doc_id"].to_numpy(zero_copy_only=False)
@@ -163,7 +162,6 @@ def _purge_file(path, key, entry, dead, states, chunk_tokens, codecs) -> dict:
     ("rewrite", or "refresh" when no row was dead)."""
     import pyarrow.parquet as pq
 
-    from ..functions.dedup import sorted_isin
     from ..pipelines.compact_job import write_rekeyed
     from ..stages.decoder import decode_chunks_batch
     from ..stages.encoder import encode_rows_to_chunks

@@ -3276,3 +3276,55 @@ def test_time_of_week_matrix_calendar_arithmetic(ray_session):
     # Ray wraps worker exceptions in RayTaskError; match the message
     with pytest.raises(Exception, match="pre-1970"):
         time_of_week_matrix(rd.from_arrow(bad)).materialize()
+
+
+_NULL_TEXT = pa.table(
+    {
+        "doc_id": pa.array([0, 1, 2], type=pa.int64()),
+        "text": pa.array(["the cat and the dog", None, ""], type=pa.string()),
+    }
+)
+
+
+def test_word_stats_null_text_has_no_words():
+    """A null text counts no words and no distinct words, like an empty
+    split (it used to read int64 min)."""
+    from fsst_ray.functions.textstats import word_stats_batch
+
+    out = word_stats_batch(_NULL_TEXT).to_pydict()
+    assert out["n_words"] == [5, 0, 1]
+    assert out["n_distinct"] == [4, 0, 1]
+    assert out["n_stop_en"] == [3, 0, 0]
+
+
+def test_quality_null_text_scores_as_empty():
+    """quality_batch's length signals read 0 for a null text, not
+    int64 min."""
+    from fsst_ray.functions.textstats import quality_batch
+
+    out = quality_batch(_NULL_TEXT).to_pydict()
+    assert out["n_chars_text"] == [19, 0, 0]
+    assert out["n_words"] == [5, 0, 1]
+    assert out["n_distinct"] == [4, 0, 1]
+    assert out["quality"][1] == 0
+
+
+def test_explode_tokens_null_list_explodes_to_no_rows(ray_session):
+    """A null tokens row explodes to no rows, as SQL UNNEST(NULL) does,
+    and the rows around it keep their ids and positions."""
+    import ray.data as rd
+
+    from fsst_ray.functions.vocab import explode_tokens
+
+    tbl = pa.table(
+        {
+            "doc_id": pa.array(["a", "b", "c"]),
+            "tokens": pa.array([[7, 8], None, [9]], type=pa.list_(pa.int32())),
+        }
+    )
+    out = explode_tokens(rd.from_arrow(tbl)).take_all()
+    assert [(r["doc_id"], r["pos"], r["token"]) for r in out] == [
+        ("a", 0, 7),
+        ("a", 1, 8),
+        ("c", 0, 9),
+    ]
