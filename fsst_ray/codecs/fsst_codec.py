@@ -40,11 +40,11 @@ def train_from_lines(sample_lines: list[bytes]) -> bytes:
 def train_with_ratio(sample_lines: list[bytes]) -> dict:
     """Train + measure the expected compression ratio on the training
     sample — pass-1 work, so per-chunk size estimation is free."""
-    blob = train_from_lines(sample_lines)
+    comp = fsst.train(sample_lines)
+    blob = comp.symbol_table_bytes()
     total = sum(len(ln) for ln in sample_lines)
     if total == 0:
         return {"fsst": blob, "ratio": 1.0}
-    comp = _compressor_for_state(blob)
     offsets = np.zeros(len(sample_lines) + 1, dtype=np.int64)
     np.cumsum([len(ln) for ln in sample_lines], out=offsets[1:])
     data = np.frombuffer(b"".join(sample_lines), dtype=np.uint8)

@@ -1,4 +1,5 @@
-"""Exact-semantics FSST (Fast Static Symbol Table) codec in pure Python/numpy.
+"""Exact-semantics FSST (Fast Static Symbol Table) codec: the pure
+Python/numpy oracle, and `train`, the engine's training entry point.
 
 FSST is the string-compression scheme of Boncz, Neumann & Leis,
 "FSST: Fast Random Access String Compression", VLDB vol 13 p2649.
@@ -32,9 +33,11 @@ reference repo for parity checking, no code copied):
   slots (stale entries from earlier generations included)
   (src/builder.rs:390-496)
 
-The pure-Python encode loop here is the correctness oracle; the fast
-path used by the Ray pipeline lives in fsst_native.c / native.py and is
-tested for bit-equality against this module.
+The pure-Python trainer (`train_oracle`) and encode loop here are the
+correctness oracle. The engine trains with `train`, which runs the C
+trainer (fsst_native.c, via native.py) and rebuilds the encoder with
+`compressor_from_state`; the C kernel also does every bulk encode and
+decode. Both are tested for bit-equality against this module.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import native
 
 U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -552,14 +557,11 @@ def make_sample(lines: list[bytes]) -> list[bytes]:
     n_lines = len(lines)
     while offset < FSST_SAMPLETARGET:
         sample_rnd = fsst_hash(sample_rnd)
-        line_nr = sample_rnd % n_lines
-        line = None
-        for j in list(range(line_nr, n_lines)) + list(range(0, line_nr)):
-            if len(lines[j]) > 0:
-                line = lines[j]
-                break
-        if line is None:
-            return sample
+        # the first non-empty line at or after the pick, wrapping around
+        j = sample_rnd % n_lines
+        while len(lines[j]) == 0:
+            j = (j + 1) % n_lines  # tot > 0: some line is non-empty
+        line = lines[j]
         chunks = 1 + (len(line) - 1) // FSST_SAMPLELINE
         sample_rnd = fsst_hash(sample_rnd)
         chunk = FSST_SAMPLELINE * (sample_rnd % chunks)
@@ -570,8 +572,15 @@ def make_sample(lines: list[bytes]) -> list[bytes]:
 
 
 def train(lines: list[bytes]) -> Compressor:
+    """Train a symbol table on `lines` with the C trainer; the table is
+    bit-identical to train_oracle's."""
+    return compressor_from_state(native.train(lines))
+
+
+def train_oracle(lines: list[bytes]) -> Compressor:
     """Generational training (src/builder.rs:604-628): 5 rounds of
-    compress-count + optimize over a bounded sample."""
+    compress-count + optimize over a bounded sample. The test oracle of
+    the C trainer behind `train`."""
     builder = CompressorBuilder()
     if not lines:
         return builder.build()

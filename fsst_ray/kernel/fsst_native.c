@@ -1,9 +1,11 @@
-/* Fast bulk FSST encode/decode kernel.
+/* FSST kernel: symbol-table training and bulk encode/decode.
  *
  * Same observable semantics as fsst_ray/kernel/fsst.py (the Python
  * oracle, itself golden-tested bit-identical to the reference
- * spiraldb/fsst crate). Only the greedy per-buffer parse lives here;
- * training, finalize and all table construction stay in Python.
+ * spiraldb/fsst crate). Training (sampling, the 5 generations and
+ * finalize) and the greedy per-buffer parse live here; Python only
+ * rebuilds the encoder's lookup indexes from the trained state blob
+ * (fsst.compressor_from_state).
  *
  * Compiled at first use by fsst_ray/kernel/native.py with the system C
  * compiler; loaded via ctypes. No external dependencies.
@@ -18,6 +20,7 @@
  */
 
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define CODE_UNUSED 0x11FF /* 511 + (1<<12) */
@@ -30,9 +33,14 @@ static inline uint64_t load_word(const uint8_t *p) {
     return w;
 }
 
-static inline uint64_t fsst_hash3(uint64_t word) {
-    uint64_t v = word & 0xFFFFFF;
+/* multiply-xor-shift hash: the sampling PRNG and, over a word's first
+ * 3 bytes, the PHT hash */
+static inline uint64_t fsst_hash(uint64_t v) {
     return (v * 2971215073ULL) ^ (v >> 15);
+}
+
+static inline uint64_t fsst_hash3(uint64_t word) {
+    return fsst_hash(word & 0xFFFFFF);
 }
 
 /* Branchless greedy step against the packed probe tables: identical
@@ -663,4 +671,349 @@ int64_t fsst_decompress_bulk(const uint8_t *codes, const int64_t *offsets,
         out_offsets[r + 1] = out_pos;
     }
     return out_pos;
+}
+
+/* ---- symbol-table training ----
+ *
+ * One entry point, fsst_train: make_sample, 5 generations of
+ * compress_count + optimize, then finalize, writing the state blob of
+ * fsst.py's Compressor.symbol_table_bytes(). Every step mirrors the
+ * Python oracle (fsst.py train_oracle) operation for operation, so the
+ * tables are bit-identical to it and to the reference crate
+ * (src/builder.rs:390-496, 535-628, 658-813). */
+
+#define CODE_BASE 256
+#define CODE_MASK 511
+#define LEN_BITS 12
+#define N_SLOTS 255 /* learned-symbol slots: codes 256..510 */
+#define SAMPLE_TARGET (1 << 14)
+#define SAMPLE_LINE 512
+#define SAMPLE_SEED 4637947ULL
+
+/* bytes of a symbol packed LE in a u64; all-zero is the 1-byte 0x00 */
+static inline uint32_t sym_len(uint64_t s) {
+    return s == 0 ? 1 : (uint32_t)((64 - __builtin_clzll(s) + 7) >> 3);
+}
+
+static inline uint16_t code_escape(uint32_t byte) {
+    return (uint16_t)(byte + (1 << LEN_BITS));
+}
+
+static inline uint16_t code_building(uint32_t code, uint32_t len) {
+    return (uint16_t)(code + CODE_BASE + (len << LEN_BITS));
+}
+
+/* Mutable training state (fsst.py CompressorBuilder) plus the
+ * per-generation counters. Counts are u32: a sample holds at most
+ * SAMPLE_TARGET + SAMPLE_LINE bytes and a byte adds at most 2 to any
+ * counter, so no count can wrap. */
+typedef struct {
+    uint64_t symbols[CODE_BASE + N_SLOTS];
+    uint32_t n_symbols;
+    uint32_t len_histogram[8];
+    uint16_t codes_one_byte[256];
+    uint16_t codes_two_byte[65536];
+    uint64_t pht_symbol[PHT_MASK + 1];
+    uint16_t pht_code[PHT_MASK + 1];
+    uint16_t pht_ignored[PHT_MASK + 1];
+    uint32_t c1[CODE_MASK + 1];
+    uint32_t c2[(CODE_MASK + 1) * (CODE_MASK + 1)];
+} Builder;
+
+static void builder_init(Builder *b) {
+    for (uint32_t i = 0; i < CODE_BASE + N_SLOTS; i++)
+        b->symbols[i] = i < 256 ? i : 0;
+    b->n_symbols = 0;
+    memset(b->len_histogram, 0, sizeof b->len_histogram);
+    for (uint32_t i = 0; i < 256; i++)
+        b->codes_one_byte[i] = code_escape(i);
+    for (uint32_t i = 0; i < 65536; i++)
+        b->codes_two_byte[i] = code_escape(i >> 8);
+    for (uint32_t s = 0; s <= PHT_MASK; s++) {
+        b->pht_symbol[s] = 0;
+        b->pht_code[s] = CODE_UNUSED;
+        b->pht_ignored[s] = 64;
+    }
+    memset(b->c1, 0, sizeof b->c1);
+    memset(b->c2, 0, sizeof b->c2);
+}
+
+/* 1 if inserted, 0 if a 3+ byte symbol collides in the PHT */
+static int builder_insert(Builder *b, uint64_t s, uint32_t len) {
+    if (len == 2) {
+        b->codes_two_byte[s & 0xFFFF] = code_building(b->n_symbols, 2);
+    } else if (len == 1) {
+        b->codes_one_byte[s & 0xFF] = code_building(b->n_symbols, 1);
+    } else {
+        uint32_t slot = (uint32_t)(fsst_hash3(s) & PHT_MASK);
+        if (b->pht_code[slot] != CODE_UNUSED)
+            return 0;
+        b->pht_symbol[slot] = s;
+        b->pht_code[slot] = code_building(b->n_symbols, len);
+        b->pht_ignored[slot] = (uint16_t)(64 - 8 * len);
+    }
+    b->len_histogram[len - 1]++;
+    b->symbols[CODE_BASE + b->n_symbols] = s;
+    b->n_symbols++;
+    return 1;
+}
+
+/* resets the index entries of the current table; symbols[256..] and
+ * the PHT's symbol/ignored slots keep their stale values, as in the
+ * reference (finalize's suffix scan reads the stale symbols) */
+static void builder_clear(Builder *b) {
+    for (uint32_t code = 0; code < CODE_BASE + b->n_symbols; code++) {
+        uint64_t s = b->symbols[code];
+        uint32_t len = sym_len(s);
+        if (len == 1)
+            b->codes_one_byte[s & 0xFF] = code_escape(s & 0xFF);
+        else if (len == 2)
+            b->codes_two_byte[s & 0xFFFF] = code_escape(s & 0xFF);
+        else
+            b->pht_code[fsst_hash3(s) & PHT_MASK] = CODE_UNUSED;
+    }
+    memset(b->len_histogram, 0, sizeof b->len_histogram);
+    b->n_symbols = 0;
+}
+
+/* training-time lookup: PHT, then the two-byte index, then one byte */
+static inline uint16_t find_longest_symbol(const Builder *b, uint64_t word) {
+    uint32_t slot = (uint32_t)(fsst_hash3(word) & PHT_MASK);
+    uint16_t pc = b->pht_code[slot];
+    if (pc != CODE_UNUSED) {
+        uint16_t ign = b->pht_ignored[slot];
+        uint64_t mask = ign < 64 ? ~0ULL >> ign : 0;
+        if ((word & mask) == b->pht_symbol[slot])
+            return pc;
+    }
+    uint16_t two = b->codes_two_byte[word & 0xFFFF];
+    if ((two & CODE_MASK) >= CODE_BASE)
+        return two;
+    return b->codes_one_byte[word & 0xFF];
+}
+
+/* one greedy counting pass over a line, its tail read as a
+ * zero-padded word */
+static void compress_count(Builder *b, const uint8_t *line, int64_t n) {
+    uint32_t prev = CODE_MASK;
+    int64_t pos = 0;
+    while (pos < n) {
+        uint64_t word = 0;
+        if (n - pos >= 8)
+            word = load_word(line + pos);
+        else
+            memcpy(&word, line + pos, (size_t)(n - pos));
+        uint16_t code = find_longest_symbol(b, word);
+        uint32_t ext = code & CODE_MASK;
+        uint32_t len = code >> LEN_BITS;
+        b->c1[ext]++;
+        b->c2[prev * (CODE_MASK + 1) + ext]++;
+        if (len > 1) {
+            uint32_t first = (uint32_t)(b->symbols[ext] & 0xFF);
+            b->c1[first]++;
+            b->c2[prev * (CODE_MASK + 1) + first]++;
+        }
+        pos += len;
+        prev = ext;
+    }
+}
+
+/* Candidate max-heap with Rust std BinaryHeap's push, pop and
+ * sift_down_to_bottom order, compared on (gain, len) only, so equal
+ * keys pop in the reference's order. */
+typedef struct {
+    uint64_t gain;
+    uint64_t symbol;
+    uint32_t len;
+} Cand;
+
+static inline int cand_le(const Cand *a, const Cand *b) {
+    return a->gain < b->gain || (a->gain == b->gain && a->len <= b->len);
+}
+
+static void heap_sift_up(Cand *d, int64_t start, int64_t pos) {
+    Cand element = d[pos];
+    while (pos > start) {
+        int64_t parent = (pos - 1) >> 1;
+        if (cand_le(&element, &d[parent]))
+            break;
+        d[pos] = d[parent];
+        pos = parent;
+    }
+    d[pos] = element;
+}
+
+static void heap_push(Cand *d, int64_t *n, Cand c) {
+    d[*n] = c;
+    heap_sift_up(d, 0, (*n)++);
+}
+
+static Cand heap_pop(Cand *d, int64_t *n) {
+    Cand last = d[--(*n)];
+    int64_t end = *n;
+    if (end == 0)
+        return last;
+    Cand top = d[0];
+    /* sift_down_to_bottom: walk the root's hole down to a leaf, always
+     * to the larger child, then sift the old last element up from it */
+    int64_t pos = 0, child = 1;
+    while (child <= end - 2) {
+        child += cand_le(&d[child], &d[child + 1]);
+        d[pos] = d[child];
+        pos = child;
+        child = 2 * pos + 1;
+    }
+    if (child == end - 1) {
+        d[pos] = d[child];
+        pos = child;
+    }
+    d[pos] = last;
+    heap_sift_up(d, 0, pos);
+    return top;
+}
+
+/* candidate generation and the rebuild of the table from the best
+ * 255 candidates; `heap` holds every push of one generation */
+static void optimize(Builder *b, Cand *heap, uint32_t frac) {
+    uint64_t cutoff = (5 * (uint64_t)frac) / 128;
+    int64_t n = 0;
+    for (uint32_t code1 = 0; code1 < CODE_MASK; code1++) {
+        uint64_t count = b->c1[code1];
+        if (count == 0 || count < cutoff)
+            continue;
+        uint64_t sym1 = b->symbols[code1];
+        uint32_t len1 = sym_len(sym1);
+        uint64_t gain = count * len1;
+        if (code1 < CODE_BASE)
+            gain *= 8; /* single-byte boost reduces escape counts */
+        heap_push(heap, &n, (Cand){gain, sym1, len1});
+        if (frac >= 128 || len1 == 8)
+            continue;
+        const uint32_t *row = b->c2 + (uint64_t)code1 * (CODE_MASK + 1);
+        for (uint32_t code2 = 0; code2 < CODE_MASK; code2++) {
+            if (row[code2] == 0)
+                continue;
+            uint64_t sym2 = b->symbols[code2];
+            if (len1 + sym_len(sym2) > 8)
+                continue;
+            uint64_t sym = (sym2 << (8 * len1)) | sym1;
+            uint32_t len = sym_len(sym);
+            heap_push(heap, &n, (Cand){(uint64_t)row[code2] * len, sym, len});
+        }
+    }
+    builder_clear(b);
+    uint32_t inserted = 0;
+    while (n > 0 && inserted < N_SLOTS) {
+        Cand c = heap_pop(heap, &n);
+        inserted += (uint32_t)builder_insert(b, c.symbol, sym_len(c.symbol));
+    }
+}
+
+/* Deterministic pseudo-random sample of an input of at least
+ * SAMPLE_TARGET bytes: SAMPLE_LINE-byte chunks of lines picked by the
+ * fsst_hash chain, an empty pick moving forward (with wrap-around) to
+ * the next non-empty line. Writes each chunk's [start, end) positions
+ * (at most SAMPLE_TARGET of them: a chunk holds at least one byte) and
+ * returns their count. */
+static int64_t make_sample(const int64_t *offsets, int64_t n_lines,
+                           int64_t *s_start, int64_t *s_end) {
+    int64_t n = 0, taken = 0;
+    uint64_t rnd = fsst_hash(SAMPLE_SEED);
+    while (taken < SAMPLE_TARGET) {
+        rnd = fsst_hash(rnd);
+        int64_t j = (int64_t)(rnd % (uint64_t)n_lines);
+        while (offsets[j + 1] == offsets[j])
+            j = j + 1 == n_lines ? 0 : j + 1; /* some line is non-empty */
+        int64_t len = offsets[j + 1] - offsets[j];
+        uint64_t chunks = 1 + (uint64_t)(len - 1) / SAMPLE_LINE;
+        rnd = fsst_hash(rnd);
+        int64_t chunk = SAMPLE_LINE * (int64_t)(rnd % chunks);
+        s_start[n] = offsets[j] + chunk;
+        s_end[n] = offsets[j] + (len - chunk < SAMPLE_LINE ? len : chunk + SAMPLE_LINE);
+        taken += s_end[n] - s_start[n];
+        n++;
+    }
+    return n;
+}
+
+/* renumber by length order 2(no suffix) | 2(suffix) | 3..8 | 1 and
+ * write the state blob: [1, n lo, n hi, has_suffix_code], n LE u64
+ * symbols, n u8 lengths. The suffix scan reads all 255 upper slots,
+ * stale ones included, as the reference does. Returns the blob size. */
+static int64_t finalize(const Builder *b, uint8_t *out) {
+    uint32_t n = b->n_symbols;
+    uint32_t by_len[8];
+    by_len[0] = n - b->len_histogram[0];
+    by_len[1] = 0;
+    for (int i = 1; i < 7; i++)
+        by_len[i + 1] = by_len[i] + b->len_histogram[i];
+    uint32_t no_suffix = 0, has_suffix = by_len[2];
+    uint64_t symbols[N_SLOTS] = {0};
+    uint8_t lengths[N_SLOTS] = {0};
+    for (uint32_t i = 0; i < n; i++) {
+        uint64_t s = b->symbols[CODE_BASE + i];
+        uint32_t len = sym_len(s), code;
+        if (len == 2) {
+            int suffixed = 0;
+            for (uint32_t k = 0; k < N_SLOTS && !suffixed; k++)
+                suffixed = k != i && (s & 0xFFFF) == (b->symbols[CODE_BASE + k] & 0xFFFF);
+            code = suffixed ? --has_suffix : no_suffix++;
+        } else {
+            code = by_len[len - 1]++;
+        }
+        symbols[code] = s;
+        lengths[code] = (uint8_t)len;
+    }
+    out[0] = 1;
+    out[1] = (uint8_t)(n & 0xFF);
+    out[2] = (uint8_t)(n >> 8);
+    out[3] = (uint8_t)has_suffix;
+    memcpy(out + 4, symbols, 8 * (size_t)n);
+    memcpy(out + 4 + 8 * (size_t)n, lengths, n);
+    return 4 + 9 * (int64_t)n;
+}
+
+/* Train a symbol table on n_lines rows of `data` (offsets: n_lines+1
+ * int64 positions in `data`). Writes the state blob to out_state
+ * (capacity 4 + 9 * 255 bytes) and returns its length, or -1 when
+ * the working memory cannot be allocated. */
+int64_t fsst_train(const uint8_t *data, const int64_t *offsets,
+                   int64_t n_lines, uint8_t *out_state) {
+    static const uint32_t generations[5] = {8, 38, 68, 98, 128};
+    Builder *b = malloc(sizeof *b);
+    /* every push is a non-zero c1 cell (< 511) or a non-zero c2 cell
+     * (at most 2 per parsed byte of the sample) */
+    Cand *heap = malloc((CODE_MASK + 2 * (size_t)(SAMPLE_TARGET + SAMPLE_LINE)) * sizeof(Cand));
+    int64_t *chunks = malloc(2 * (size_t)SAMPLE_TARGET * sizeof(int64_t));
+    if (!b || !heap || !chunks) {
+        free(b);
+        free(heap);
+        free(chunks);
+        return -1;
+    }
+    builder_init(b);
+    /* an input under SAMPLE_TARGET bytes is its own sample */
+    const int64_t *s_start = offsets, *s_end = offsets + 1;
+    int64_t n_sample = n_lines;
+    if (offsets[n_lines] - offsets[0] >= SAMPLE_TARGET) {
+        n_sample = make_sample(offsets, n_lines, chunks, chunks + SAMPLE_TARGET);
+        s_start = chunks;
+        s_end = chunks + SAMPLE_TARGET;
+    }
+    for (int g = 0; g < 5; g++) {
+        uint32_t frac = generations[g];
+        for (int64_t i = 0; i < n_sample; i++) {
+            if (frac < 128 && (fsst_hash((uint64_t)i) & 127) > frac)
+                continue;
+            compress_count(b, data + s_start[i], s_end[i] - s_start[i]);
+        }
+        optimize(b, heap, frac);
+        memset(b->c1, 0, sizeof b->c1);
+        memset(b->c2, 0, sizeof b->c2);
+    }
+    int64_t len = finalize(b, out_state);
+    free(chunks);
+    free(heap);
+    free(b);
+    return len;
 }

@@ -3,10 +3,10 @@
 The shared library is built from fsst_native.c with the system C
 compiler into a content-addressed path under /tmp, so every Ray worker
 process on a node shares one cached build. The C kernel is the engine's
-only implementation of bulk compress/decompress, bit-packing, vbyte and
-row checksums: a failed build or load raises RuntimeError (with the
-compiler's stderr). The pure-Python kernel in fsst.py is kept only as
-the test oracle.
+only implementation of symbol-table training, bulk compress/decompress,
+bit-packing, vbyte and row checksums: a failed build or load raises
+RuntimeError (with the compiler's stderr). The pure-Python trainer and
+encoder in fsst.py are kept only as the test oracle.
 """
 
 from __future__ import annotations
@@ -86,6 +86,8 @@ def _bind(lib):
     lib.row_checksums.argtypes = [
         ctypes.POINTER(ctypes.c_int32), i64p, i64, ctypes.POINTER(ctypes.c_uint64),
     ]
+    lib.fsst_train.restype = i64
+    lib.fsst_train.argtypes = [u8p, i64p, i64, u8p]
     return lib
 
 
@@ -173,6 +175,27 @@ def row_checksums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         _ptr(out, ctypes.c_uint64),
     )
     return out
+
+
+# largest state blob: 4 header bytes + 255 symbols x (8 + 1) bytes
+STATE_MAX = 4 + 9 * 255
+
+
+def train(lines: list[bytes]) -> bytes:
+    """Train a symbol table on `lines` (sample, 5 generations,
+    finalize); returns the state blob of Compressor.symbol_table_bytes(),
+    byte-identical to fsst.train_oracle's."""
+    offsets = np.zeros(len(lines) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)), out=offsets[1:])
+    data = np.frombuffer(b"".join(lines), dtype=np.uint8)
+    out = np.empty(STATE_MAX, dtype=np.uint8)
+    written = get_lib().fsst_train(
+        _ptr(data, ctypes.c_uint8), _ptr(offsets, ctypes.c_int64), len(lines),
+        _ptr(out, ctypes.c_uint8),
+    )
+    if written < 0:
+        raise MemoryError("fsst_train could not allocate its working memory")
+    return out[:written].tobytes()
 
 
 def compress_bulk(data: np.ndarray, offsets: np.ndarray, comp) -> tuple[np.ndarray, np.ndarray]:

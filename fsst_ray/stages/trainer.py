@@ -6,7 +6,8 @@ source trains its own table on its lowest-priority row chunks
 (priority = stable hash of doc_id), up to the FSST_SAMPLEMAX byte
 budget. One rule cuts each row's chunk (`sample_spans`), one rule
 applies the budget (`_budget_prefix`), and one per-source step trains
-(`train_source_group`, run as one Ray task per source).
+(`train_source_group`, run in the driver: the C trainer takes a few
+milliseconds per source, less than a Ray task costs to schedule).
 
 Every block emits its sources' token mass and the budget prefix of its
 own candidates; the driver folds that stream and keeps only each
@@ -30,7 +31,6 @@ import pathlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
 from ..codecs.fsst_codec import train_with_ratio
 from ..keyed import group_sizes, group_starts, sum_by
@@ -172,9 +172,6 @@ def train_source_group(group: pa.Table) -> pa.Table:
     )
 
 
-_train_task = ray.remote(num_cpus=1)(train_source_group)
-
-
 def _group(source: str, mass: dict, kept: pa.Table | None) -> pa.Table:
     """train_source_group's input for one source of a fold."""
     head = pa.table(
@@ -221,7 +218,7 @@ def train_states(ds, input_path: str | None = None, base_states: dict | None = N
         ).map_batches(sample_and_mass_batch, batch_format="pyarrow", batch_size=None)
         kept = _fold(fetched.iter_batches(batch_format="pyarrow", batch_size=None))[1]
     states = {s: base_states.get(s) for s in mass}
-    tasks = [_train_task.remote(_group(s, mass[s], kept)) for s in train]
-    for s, r in zip(train, ray.get(tasks)):
+    for s in train:
+        r = train_source_group(_group(s, mass[s], kept))
         states[s] = {"fsst": r["state"][0].as_py(), "ratio": r["ratio"][0].as_py()}
     return states, mass, {"route": "pruned" if pruned else "scan", "sources_trained": train}

@@ -1,4 +1,6 @@
-"""Bit-parity of the Python FSST kernel vs the reference Rust crate.
+"""Bit-parity of both FSST trainers vs the reference Rust crate: the
+engine's `fsst.train` (the C trainer) and the Python oracle
+`fsst.train_oracle`, each encoding with the Python oracle's compress.
 
 Goldens in tests/golden/ were produced by tools/golden_gen (which links
 the reference crate at /root/reference); regenerate with
@@ -21,12 +23,20 @@ from fsst_ray.kernel import fsst
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("name", sorted(CORPORA))
-def test_golden_parity(name):
+# the C trainer's cases keep the bare corpus name as their id
+CASES = [
+    pytest.param(name, trainer, id=name if trainer is fsst.train else f"{name}-oracle")
+    for trainer in (fsst.train, fsst.train_oracle)
+    for name in sorted(CORPORA)
+]
+
+
+@pytest.mark.parametrize("name,trainer", CASES)
+def test_golden_parity(name, trainer):
     golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
     lines = CORPORA[name]()
 
-    comp = fsst.train(lines)
+    comp = trainer(lines)
 
     # symbol table parity (symbols as byte strings, lengths)
     got_lengths = comp.lengths[: comp.n_symbols].tolist()

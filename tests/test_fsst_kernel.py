@@ -4,9 +4,12 @@ and doctests src/lib.rs:313-323, 434-450) to byte/token inputs."""
 
 from __future__ import annotations
 
-import numpy as np
+import time
 
-from fsst_ray.kernel import fsst
+import numpy as np
+import pytest
+
+from fsst_ray.kernel import fsst, native
 
 
 def test_basic_roundtrip():
@@ -161,3 +164,110 @@ def test_train_never_panics_on_adversarial_bytes():
         dec = comp.decompressor()
         for line in lines:
             assert dec.decompress(comp.compress(line)) == line
+
+
+# ---- C trainer vs the Python oracle, byte for byte ----
+
+
+def _first_picks(n_lines: int, k: int) -> list[int]:
+    """Line numbers of make_sample's first k picks: each pick draws its
+    line from one step of the fsst_hash chain and its chunk from the
+    next, whatever the line lengths."""
+    rnd = fsst.fsst_hash(fsst.FSST_SAMPLE_SEED)
+    picks = []
+    for _ in range(k):
+        rnd = fsst.fsst_hash(rnd)
+        picks.append(rnd % n_lines)
+        rnd = fsst.fsst_hash(rnd)
+    return picks
+
+
+def _zipf_lines(rng, n, width, vocab):
+    return [
+        (rng.zipf(1.3, int(rng.integers(0, width))) % vocab).astype("<i4").tobytes()
+        for _ in range(n)
+    ]
+
+
+TRAIN_CASES = {
+    "empty_input": lambda rng: [],
+    "only_empty_lines": lambda rng: [b""] * 50,
+    "small_total": lambda rng: _zipf_lines(rng, 40, 60, 500),  # < 16 KiB: every line
+    # only line 0 has bytes: every other pick scans to the end and wraps
+    "one_line_then_empties": lambda rng: [b"abcdefghij" * 2000] + [b""] * 999,
+    # empty runs at both ends: picks in the tail run wrap to line 60
+    "empty_runs_across_wrap": lambda rng: [b""] * 60
+    + [rng.integers(97, 123, 300).astype(np.uint8).tobytes() for _ in range(80)]
+    + [b""] * 60,
+    "all_escape_bytes": lambda rng: [b"\xff" * 700] * 30,
+    "every_byte_value": lambda rng: [bytes(range(256)) * 3 for _ in range(30)],
+    "long_lines": lambda rng: [
+        rng.integers(0, 8, int(rng.integers(513, 5000))).astype(np.uint8).tobytes()
+        for _ in range(12)
+    ],
+    "fills_255": lambda rng: [rng.integers(0, 256, 512).astype(np.uint8).tobytes() for _ in range(64)],
+    "pht_collisions": lambda rng: _zipf_lines(rng, 400, 200, 5000),
+    "zero_bytes": lambda rng: [b"\x00" * 900, b"\x00\x01" * 5000, b"", b"\x00"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRAIN_CASES))
+def test_c_trainer_matches_oracle(case, monkeypatch):
+    lines = TRAIN_CASES[case](np.random.default_rng(len(case)))
+    rejected = []
+    pht_insert = fsst.CompressorBuilder._pht_insert
+
+    def counting_insert(self, symbol, length, code):
+        ok = pht_insert(self, symbol, length, code)
+        rejected.append(not ok)
+        return ok
+
+    monkeypatch.setattr(fsst.CompressorBuilder, "_pht_insert", counting_insert)
+    oracle = fsst.train_oracle(lines).symbol_table_bytes()
+    assert native.train(lines) == oracle
+    assert fsst.train(lines).symbol_table_bytes() == oracle
+    # each case reaches the shape it is named for
+    n_symbols = oracle[1] | (oracle[2] << 8)
+    total = sum(map(len, lines))
+    if case == "fills_255":
+        assert n_symbols == 255
+    if case == "pht_collisions":
+        assert any(rejected)
+    if case == "small_total":
+        assert 0 < total < fsst.FSST_SAMPLETARGET
+    if case == "empty_runs_across_wrap":
+        assert total >= fsst.FSST_SAMPLETARGET
+        assert any(p >= 140 for p in _first_picks(len(lines), 32))
+    if case == "long_lines":
+        assert total >= fsst.FSST_SAMPLETARGET
+        assert min(map(len, lines)) > fsst.FSST_SAMPLELINE
+    if case in ("empty_input", "only_empty_lines"):
+        assert n_symbols == 0
+
+
+def test_c_trainer_fuzz_matches_oracle():
+    """Seeded mix of line counts, lengths and byte alphabets, spanning
+    both sampling paths (under and over 16 KiB in total)."""
+    rng = np.random.default_rng(0x7A1)
+    for trial in range(40):
+        n = int(rng.integers(0, 120))
+        alphabet = int(rng.choice([2, 4, 26, 256]))
+        width = int(rng.choice([8, 64, 600, 2000]))
+        lines = [
+            b"" if rng.random() < 0.2
+            else rng.integers(0, alphabet, int(rng.integers(1, width))).astype(np.uint8).tobytes()
+            for _ in range(n)
+        ]
+        assert native.train(lines) == fsst.train_oracle(lines).symbol_table_bytes(), trial
+
+
+def test_make_sample_is_linear_in_lines():
+    """A pick looks only as far as the next non-empty line: sampling
+    100k lines of 20 B takes milliseconds (the list-per-pick scan took
+    seconds, O(picks x lines)); the bound leaves a 50x margin."""
+    lines = [b"abcdefghijklmnopqrst"] * 100_000
+    t0 = time.perf_counter()
+    sample = fsst.make_sample(lines)
+    assert time.perf_counter() - t0 < 0.5
+    assert sum(map(len, sample)) >= fsst.FSST_SAMPLETARGET
+    assert native.train(lines) == fsst.train_oracle(lines).symbol_table_bytes()

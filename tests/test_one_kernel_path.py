@@ -5,6 +5,11 @@ a caller that tests its result against None is the start of a second,
 silent implementation beside it. This scan parses every module under
 fsst_ray/ and tools/ and fails on any such comparison, or on a
 `_LOAD_FAILED` flag that would cache a load failure.
+
+Training has one path too: `fsst.train` runs the C trainer. The Python
+trainer (`fsst.train_oracle`, built on `CompressorBuilder`) is the test
+oracle, so no module outside kernel/fsst.py may name either, except the
+uses listed in TRAINER_ALLOWED.
 """
 
 from __future__ import annotations
@@ -84,4 +89,63 @@ def test_scanner_sees_every_shape():
         (4, "compares a get_lib() result with None"),
         (5, "compares a get_lib() result with None"),
         (6, "uses _LOAD_FAILED"),
+    ]
+
+
+ORACLE_TRAINER = ("train_oracle", "CompressorBuilder")
+
+# (module, name) pairs allowed to name the oracle trainer outside its
+# own module: micro_bench hand-builds one-symbol tables to time the
+# compress paths (reference benches/micro.rs), and times the oracle
+# beside the C trainer (train_ms_oracle against train_ms_c)
+TRAINER_ALLOWED = {
+    ("tools/micro_bench.py", "CompressorBuilder"),
+    ("tools/micro_bench.py", "train_oracle"),
+}
+
+
+def _oracle_trainer_marks(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) for each reference to the oracle trainer: a call, an
+    attribute or name read, or an import of it."""
+    marks = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in ORACLE_TRAINER:
+            marks.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in ORACLE_TRAINER:
+            marks.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            marks += [(node.lineno, a.name) for a in node.names if a.name in ORACLE_TRAINER]
+    return marks
+
+
+def test_one_trainer_path():
+    bad = []
+    for path in SOURCES:
+        rel = path.relative_to(ROOT).as_posix()
+        if rel == "fsst_ray/kernel/fsst.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bad += [
+            f"{rel}:{line} names {name}"
+            for line, name in _oracle_trainer_marks(tree)
+            if (rel, name) not in TRAINER_ALLOWED
+        ]
+    assert not bad, "second training path:\n" + "\n".join(bad)
+
+
+def test_trainer_scanner_sees_every_shape():
+    src = (
+        "comp = fsst.train_oracle(lines)\n"
+        "b = fsst.CompressorBuilder()\n"
+        "from fsst_ray.kernel.fsst import train_oracle\n"
+        "t = train_oracle\n"
+        "b = CompressorBuilder()\n"
+        "comp = fsst.train(lines)\n"
+    )
+    assert sorted(_oracle_trainer_marks(ast.parse(src))) == [
+        (1, "train_oracle"),
+        (2, "CompressorBuilder"),
+        (3, "train_oracle"),
+        (4, "train_oracle"),
+        (5, "CompressorBuilder"),
     ]

@@ -5,7 +5,10 @@ case. Times the raw C entry points — no Ray, no Arrow — so kernel
 changes can be attributed precisely.
 
 Usage: python tools/micro_bench.py [--mb 64]
-Prints one JSON line: {case: MB_per_sec, ...}.
+Prints one JSON line: {case: MB_per_sec, ...}, plus `train_ms_c` and
+`train_ms_oracle`: best-of milliseconds to train one table on the
+32 KiB zipf-token sample with the C trainer (`fsst.train`, including
+the encoder rebuild) and with the Python oracle (`fsst.train_oracle`).
 """
 
 from __future__ import annotations
@@ -97,6 +100,15 @@ def _time_decompress(comp: fsst.Compressor, data: np.ndarray, reps: int = 3) -> 
     return len(data) / best / (1 << 20)
 
 
+def _time_train(train, lines: list[bytes], reps: int) -> float:
+    best = float("inf")
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        train(lines)
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e3
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--mb", type=int, default=64)
@@ -144,6 +156,8 @@ def main() -> None:
     data = np.frombuffer(toks.tobytes(), dtype=np.uint8)
     lines = [data[i : i + 512].tobytes() for i in range(0, 1 << 15, 512)]
     comp = fsst.train(lines)
+    results["train_ms_c"] = _time_train(fsst.train, lines, reps=20)
+    results["train_ms_oracle"] = _time_train(fsst.train_oracle, lines, reps=3)
     results["tokens_compress_1row"] = _time_compress(comp, data)
     # flagship shape: ~1 KiB rows -> the 3-lane interleave engages
     results["tokens_compress_rows"] = _time_compress(comp, data, row_bytes=1024)

@@ -24,12 +24,14 @@ SRC = REPO / "fsst_ray" / "kernel" / "fsst_native.c"
 SO = pathlib.Path("/tmp/fsst_ray_native_sanitized.so")
 
 # the suites that exercise the C kernel (parity vs the Python oracle,
-# Hypothesis round-trip fuzz, codec round-trips incl. decode-into)
+# C-trainer goldens and fuzz, Hypothesis round-trip fuzz, codec
+# round-trips incl. decode-into)
 DEFAULT_TESTS = [
     "tests/test_native_kernel.py",
     "tests/test_codecs.py",
     "tests/test_codecs_property.py",
     "tests/test_fsst_kernel.py",
+    "tests/test_fsst_golden.py",
 ]
 
 
@@ -50,8 +52,8 @@ def main() -> int:
         FSST_NATIVE_SO=str(SO),
         LD_PRELOAD=libasan,
         # leak checking off: python itself "leaks" interned objects at
-        # exit and would drown real reports; the kernel allocates
-        # nothing (caller-provided buffers only)
+        # exit and would drown real reports; the kernel's only heap use
+        # is fsst_train's working memory, freed before it returns
         ASAN_OPTIONS="detect_leaks=0,abort_on_error=1",
         UBSAN_OPTIONS="halt_on_error=1,print_stacktrace=1",
     )
