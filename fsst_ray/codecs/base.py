@@ -22,25 +22,20 @@ def register(codec: "Codec") -> "Codec":
 
 class Codec:
     """One chunk codec. Stateless singletons; partition-trained state
-    (e.g. an FSST symbol table) is passed explicitly as `state` bytes."""
+    (the FSST codec's {"fsst", "ratio"}, from pass 1) is passed
+    explicitly as `state`, None for codecs with no cross-chunk state."""
 
     name: str = "?"
     codec_id: int = -1
 
-    # -- training (pass 1) ------------------------------------------------
-    def train(self, sample_values: np.ndarray) -> bytes | None:
-        """Build partition-level state from a bounded sample. None for
-        codecs with no cross-chunk state."""
-        return None
-
     # -- selection --------------------------------------------------------
-    def estimate(self, stats: dict, state: bytes | None) -> float:
+    def estimate(self, stats: dict, state: dict | None) -> float:
         """Estimated encoded bytes for a chunk with the given stats
         (see select.chunk_stats). float('inf') = not applicable."""
         raise NotImplementedError
 
     # -- encode / decode --------------------------------------------------
-    def encode_values(self, values: np.ndarray, state: bytes | None) -> bytes:
+    def encode_values(self, values: np.ndarray, state: dict | None) -> bytes:
         """Encode int32 values into the codec-specific body (no frame)."""
         raise NotImplementedError
 
@@ -50,14 +45,12 @@ class Codec:
 
     def decode_values_into(self, body: bytes, n_values: int, out: np.ndarray) -> None:
         """Decode into a caller-provided int32 array of exactly
-        n_values elements. The caller must guarantee 8 writable bytes
-        of memory beyond out's end (codecs with 8-byte-store kernels
-        overshoot; see native.decompress_bulk). Default: decode then
-        copy — codecs override when they can write in place."""
+        n_values elements, writing nothing outside it. Default: decode
+        then copy — codecs override when they can write in place."""
         out[:] = self.decode_values(body, n_values)
 
     # -- framing ----------------------------------------------------------
-    def encode(self, values: np.ndarray, state: bytes | None = None) -> bytes:
+    def encode(self, values: np.ndarray, state: dict | None = None) -> bytes:
         body = self.encode_values(np.ascontiguousarray(values, dtype=np.int32), state)
         return struct.pack("<BBq", self.codec_id, _MAGIC_VERSION, len(values)) + body
 
@@ -80,8 +73,8 @@ def decode_payload(payload: bytes) -> np.ndarray:
 
 def decode_payload_into(payload: bytes, out: np.ndarray) -> None:
     """Decode a framed chunk payload into a caller-provided int32 array
-    (len(out) must equal the frame's n_values; 8 writable bytes must
-    exist beyond out's end — see Codec.decode_values_into)."""
+    (len(out) must equal the frame's n_values); nothing outside `out`
+    is written."""
     codec_id, version, n_values = struct.unpack_from("<BBq", payload, 0)
     if version != _MAGIC_VERSION:
         raise ValueError(f"corrupt chunk: unknown payload version {version}")

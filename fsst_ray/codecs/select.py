@@ -42,7 +42,6 @@ def chunk_stats(values: np.ndarray) -> dict:
     if n == 0:
         return {
             "n": 0, "min": 0, "max": 0, "card": 0, "n_runs": 0, "max_run": 0,
-            "sample_bytes": b"",
         }
     vmin = int(values.min())
     vmax = int(values.max())
@@ -75,7 +74,6 @@ def chunk_stats(values: np.ndarray) -> dict:
         delta_zz_width = max(int(dmax * 2).bit_length(), 1)
         vbyte_bytes = _vbyte_count(values)
         bl_hist = _bl_hist(values)
-        sample_bytes = values.astype("<i4", copy=False).tobytes()[: 4 * _WINDOW]
     else:
         starts = np.linspace(0, n - _WINDOW, _N_WINDOWS).astype(np.int64)
         windows = [values[s : s + _WINDOW] for s in starts]
@@ -93,7 +91,6 @@ def chunk_stats(values: np.ndarray) -> dict:
         # proportions drive the width choice; PforCodec.estimate scales
         # the histogram to n
         bl_hist = _bl_hist(sampled)
-        sample_bytes = sampled[: _WINDOW].astype("<i4", copy=False).tobytes()
     return {
         "n": n,
         "min": vmin,
@@ -104,13 +101,12 @@ def chunk_stats(values: np.ndarray) -> dict:
         "delta_zz_width": delta_zz_width,
         "vbyte_bytes": vbyte_bytes,
         "bl_hist": bl_hist,
-        "sample_bytes": sample_bytes,
     }
 
 
 def select_codec(
     values: np.ndarray,
-    state: bytes | None = None,
+    state: dict | None = None,
     codecs: tuple[str, ...] = DEFAULT_CODECS,
     stats: dict | None = None,
 ) -> tuple[str, dict]:
@@ -127,7 +123,7 @@ def select_codec(
 
 def encode_chunk(
     values: np.ndarray,
-    state: bytes | None = None,
+    state: dict | None = None,
     codecs: tuple[str, ...] = DEFAULT_CODECS,
     forced_codec: str | None = None,
 ) -> tuple[bytes, dict]:

@@ -1,11 +1,10 @@
 /* FSST kernel: symbol-table training and bulk encode/decode.
  *
- * Same observable semantics as fsst_ray/kernel/fsst.py (the Python
- * oracle, itself golden-tested bit-identical to the reference
- * spiraldb/fsst crate). Training (sampling, the 5 generations and
- * finalize) and the greedy per-buffer parse live here; Python only
- * rebuilds the encoder's lookup indexes from the trained state blob
- * (fsst.compressor_from_state).
+ * Same observable semantics as the reference spiraldb/fsst crate (and
+ * its Python mirror, the test oracle tests/fsst_oracle.py). The state
+ * blob that fsst_train writes is the codec's only handle: every
+ * encode and decode entry point takes it and derives its own tables
+ * (load_state), so Python never reads the blob's contents.
  *
  * Compiled at first use by fsst_ray/kernel/native.py with the system C
  * compiler; loaded via ctypes. No external dependencies.
@@ -16,7 +15,9 @@
  *  - the output buffer must have capacity 2*input_len + 8*n_rows + 8
  *    for compress (worst case all-escapes, +8 slack per row for the
  *    speculative escape-byte write in the lane-slotted layout) and
- *    decoded_len + 8 for decompress (8-byte symbol writes).
+ *    decoded_len + 8 for fsst_decompress_bulk (8-byte symbol writes);
+ *    fsst_decompress_bulk_at writes only inside its rows' regions
+ *  - a malformed state blob returns STATE_CORRUPT from every entry point
  */
 
 #include <stdint.h>
@@ -41,6 +42,78 @@ static inline uint64_t fsst_hash(uint64_t v) {
 
 static inline uint64_t fsst_hash3(uint64_t word) {
     return fsst_hash(word & 0xFFFFFF);
+}
+
+/* ---- the state blob ----
+ * [1, n lo, n hi, has_suffix_code], n LE u64 symbols, n u8 lengths
+ * (finalize writes it). Codes n..254 decode as empty symbols. */
+
+#define STATE_CORRUPT (-2)
+#define NO_MEMORY (-3)
+
+/* Encoder indexes derived from a blob: the two-byte index (packed
+ * codes: low 9 bits the extended code, bits 12-15 the length; a
+ * 1-byte symbol or an escape fills the slots a 2-byte symbol does
+ * not), and the lossy perfect hash table of the 3..8 byte symbols,
+ * keyed on fsst_hash3. pht_sm packs [2*slot]=symbol,
+ * [2*slot+1]=compare mask (one cache line per probe). */
+typedef struct {
+    uint16_t two_byte[1 << 16];
+    uint64_t pht_sm[2 * (PHT_MASK + 1)];
+    uint16_t pht_code[PHT_MASK + 1];
+    uint8_t suffix_lim; /* 2-byte codes below it start no longer symbol:
+                         * the encoder takes them without a PHT probe */
+} Encoder;
+
+/* Validate a blob and fill the 256-entry decode tables, plus `enc`
+ * when it is not NULL. The final table's 3+ byte symbols never collide
+ * in the PHT (training rejected colliding inserts), so inserting them
+ * in code order rebuilds the trained encoder exactly. Returns 0, or
+ * STATE_CORRUPT. */
+static int load_state(const uint8_t *state, int64_t state_len,
+                      uint64_t symbols[256], uint8_t lengths[256],
+                      Encoder *enc) {
+    if (state_len < 4 || state[0] != 1)
+        return STATE_CORRUPT;
+    uint32_t n = state[1] | (uint32_t)state[2] << 8;
+    if (n > 255 || state_len != 4 + 9 * (int64_t)n || state[3] > n)
+        return STATE_CORRUPT;
+    memset(symbols, 0, 256 * sizeof *symbols);
+    memset(lengths, 0, 256);
+    memcpy(symbols, state + 4, 8 * (size_t)n);
+    for (uint32_t i = 0; i < n; i++) {
+        lengths[i] = state[4 + 8 * n + i];
+        if (lengths[i] < 1 || lengths[i] > 8)
+            return STATE_CORRUPT;
+    }
+    if (!enc)
+        return 0;
+    uint16_t one_byte[256];
+    for (int b = 0; b < 256; b++)
+        one_byte[b] = CODE_UNUSED;
+    for (uint32_t s = 0; s <= PHT_MASK; s++) {
+        enc->pht_sm[2 * s] = enc->pht_sm[2 * s + 1] = 0;
+        enc->pht_code[s] = CODE_UNUSED;
+    }
+    for (uint32_t code = 0; code < n; code++) {
+        uint32_t len = lengths[code];
+        uint64_t s = symbols[code];
+        if (len == 1) {
+            one_byte[s & 0xFF] = (uint16_t)(code + (1 << 12));
+        } else if (len > 2) {
+            uint32_t slot = (uint32_t)(fsst_hash3(s) & PHT_MASK);
+            enc->pht_sm[2 * slot] = s;
+            enc->pht_sm[2 * slot + 1] = ~0ULL >> (64 - 8 * len);
+            enc->pht_code[slot] = (uint16_t)(code + (len << 12));
+        }
+    }
+    for (uint32_t i = 0; i < (1 << 16); i++)
+        enc->two_byte[i] = one_byte[i & 0xFF];
+    for (uint32_t code = 0; code < n; code++)
+        if (lengths[code] == 2)
+            enc->two_byte[symbols[code] & 0xFFFF] = (uint16_t)(code + (2 << 12));
+    enc->suffix_lim = state[3];
+    return 0;
 }
 
 /* Branchless greedy step against the packed probe tables: identical
@@ -165,19 +238,13 @@ static void refill(Lane *ln, const uint8_t *data, const int64_t *offsets,
  * 2*total + 8*n_rows + 8 bytes. Output is bit-identical to the
  * single-cursor loop: each row's greedy parse is independent of lane
  * scheduling. */
-int64_t fsst_compress_bulk(const uint8_t *data, const int64_t *offsets,
-                           int64_t n_rows, const uint16_t *two_byte,
-                           const uint64_t *pht_symbol,
-                           const uint16_t *pht_code,
-                           const uint16_t *pht_ignored, uint8_t suffix_lim,
-                           uint8_t *out, int64_t *out_offsets) {
-    /* pack symbol+mask into adjacent u64 pairs: one probe = one line */
-    uint64_t pht_sm[2 * (PHT_MASK + 1)];
-    for (uint32_t s = 0; s <= PHT_MASK; s++) {
-        uint16_t ign = pht_ignored[s];
-        pht_sm[2 * s] = pht_symbol[s];
-        pht_sm[2 * s + 1] = (ign >= 64) ? 0 : (~0ULL >> ign);
-    }
+static int64_t compress_rows(const uint8_t *data, const int64_t *offsets,
+                             int64_t n_rows, const Encoder *enc,
+                             uint8_t *out, int64_t *out_offsets) {
+    const uint16_t *two_byte = enc->two_byte;
+    const uint64_t *pht_sm = enc->pht_sm;
+    const uint16_t *pht_code = enc->pht_code;
+    uint8_t suffix_lim = enc->suffix_lim;
     out_offsets[0] = 0;
 
     /* pre-scan ~512 words spread across the input: when the PHT-hit
@@ -314,6 +381,25 @@ int64_t fsst_compress_bulk(const uint8_t *data, const int64_t *offsets,
         out_offsets[r + 1] = pos;
     }
     return pos;
+}
+
+/* Compress n_rows rows with the encoder of `state` (built per call:
+ * tens of microseconds against milliseconds of data). Returns the
+ * total compressed size, STATE_CORRUPT or NO_MEMORY. */
+int64_t fsst_compress_bulk(const uint8_t *data, const int64_t *offsets,
+                           int64_t n_rows, const uint8_t *state,
+                           int64_t state_len, uint8_t *out,
+                           int64_t *out_offsets) {
+    uint64_t symbols[256];
+    uint8_t lengths[256];
+    Encoder *enc = malloc(sizeof *enc);
+    if (!enc)
+        return NO_MEMORY;
+    int64_t r = load_state(state, state_len, symbols, lengths, enc);
+    if (r == 0)
+        r = compress_rows(data, offsets, n_rows, enc, out, out_offsets);
+    free(enc);
+    return r;
 }
 
 /* ---- fixed-width bit packing (used by bitpack/FOR/RLE/dict codecs) ----
@@ -504,9 +590,13 @@ static void drefill(DLane *ln, const uint8_t *codes, const int64_t *offsets,
 }
 
 int64_t fsst_decompress_bulk_at(const uint8_t *codes, const int64_t *offsets,
-                                int64_t n_rows, const uint64_t *symbols,
-                                const uint8_t *lengths, uint8_t *out,
+                                int64_t n_rows, const uint8_t *state,
+                                int64_t state_len, uint8_t *out,
                                 const int64_t *out_offsets) {
+    uint64_t symbols[256];
+    uint8_t lengths[256];
+    if (load_state(state, state_len, symbols, lengths, NULL))
+        return STATE_CORRUPT;
     if (n_rows <= 0)
         return 0;
     /* pre-scan: the sampled escape rate picks the lockstep body.
@@ -640,12 +730,18 @@ int64_t fsst_decompress_bulk_at(const uint8_t *codes, const int64_t *offsets,
     return out_offsets[n_rows] - out_offsets[0];
 }
 
-/* Returns total decoded bytes, or -1 if `out_cap` would be exceeded
- * (callers size out_cap as exact_decoded_size + 8 when known). */
+/* Single-cursor decompress of rows whose decoded sizes are not known.
+ * Returns total decoded bytes, -1 if `out_cap` would be exceeded
+ * (callers size out_cap as exact_decoded_size + 8 when known), or
+ * STATE_CORRUPT. */
 int64_t fsst_decompress_bulk(const uint8_t *codes, const int64_t *offsets,
-                             int64_t n_rows, const uint64_t *symbols,
-                             const uint8_t *lengths, uint8_t *out,
+                             int64_t n_rows, const uint8_t *state,
+                             int64_t state_len, uint8_t *out,
                              int64_t out_cap, int64_t *out_offsets) {
+    uint64_t symbols[256];
+    uint8_t lengths[256];
+    if (load_state(state, state_len, symbols, lengths, NULL))
+        return STATE_CORRUPT;
     int64_t out_pos = 0;
     out_offsets[0] = 0;
     for (int64_t r = 0; r < n_rows; r++) {
@@ -676,10 +772,10 @@ int64_t fsst_decompress_bulk(const uint8_t *codes, const int64_t *offsets,
 /* ---- symbol-table training ----
  *
  * One entry point, fsst_train: make_sample, 5 generations of
- * compress_count + optimize, then finalize, writing the state blob of
- * fsst.py's Compressor.symbol_table_bytes(). Every step mirrors the
- * Python oracle (fsst.py train_oracle) operation for operation, so the
- * tables are bit-identical to it and to the reference crate
+ * compress_count + optimize, then finalize, writing the state blob.
+ * Every step mirrors the Python oracle (tests/fsst_oracle.py
+ * train_oracle) operation for operation, so the tables are
+ * bit-identical to it and to the reference crate
  * (src/builder.rs:390-496, 535-628, 658-813). */
 
 #define CODE_BASE 256
@@ -703,7 +799,7 @@ static inline uint16_t code_building(uint32_t code, uint32_t len) {
     return (uint16_t)(code + CODE_BASE + (len << LEN_BITS));
 }
 
-/* Mutable training state (fsst.py CompressorBuilder) plus the
+/* Mutable training state (the oracle's CompressorBuilder) plus the
  * per-generation counters. Counts are u32: a sample holds at most
  * SAMPLE_TARGET + SAMPLE_LINE bytes and a byte adds at most 2 to any
  * counter, so no count can wrap. */

@@ -5,8 +5,12 @@ compiler into a content-addressed path under /tmp, so every Ray worker
 process on a node shares one cached build. The C kernel is the engine's
 only implementation of symbol-table training, bulk compress/decompress,
 bit-packing, vbyte and row checksums: a failed build or load raises
-RuntimeError (with the compiler's stderr). The pure-Python trainer and
-encoder in fsst.py are kept only as the test oracle.
+RuntimeError (with the compiler's stderr).
+
+An FSST symbol table travels as the state blob `train` returns. The
+compress and decompress wrappers pass it to the kernel as it is; the
+kernel validates it and builds its own tables on every call, and a
+malformed blob raises ValueError("corrupt chunk: ...").
 """
 
 from __future__ import annotations
@@ -63,16 +67,12 @@ def _bind(lib):
     i64 = ctypes.c_int64
     u8p = ctypes.POINTER(ctypes.c_uint8)
     i64p = ctypes.POINTER(ctypes.c_int64)
-    u16p = ctypes.POINTER(ctypes.c_uint16)
-    u64p = ctypes.POINTER(ctypes.c_uint64)
     lib.fsst_compress_bulk.restype = i64
-    lib.fsst_compress_bulk.argtypes = [
-        u8p, i64p, i64, u16p, u64p, u16p, u16p, ctypes.c_uint8, u8p, i64p,
-    ]
+    lib.fsst_compress_bulk.argtypes = [u8p, i64p, i64, u8p, i64, u8p, i64p]
     lib.fsst_decompress_bulk.restype = i64
-    lib.fsst_decompress_bulk.argtypes = [u8p, i64p, i64, u64p, u8p, u8p, i64, i64p]
+    lib.fsst_decompress_bulk.argtypes = [u8p, i64p, i64, u8p, i64, u8p, i64, i64p]
     lib.fsst_decompress_bulk_at.restype = i64
-    lib.fsst_decompress_bulk_at.argtypes = [u8p, i64p, i64, u64p, u8p, u8p, i64p]
+    lib.fsst_decompress_bulk_at.argtypes = [u8p, i64p, i64, u8p, i64, u8p, i64p]
     lib.bitpack.restype = i64
     lib.bitpack.argtypes = [i64p, i64, ctypes.c_int32, u8p]
     lib.bitunpack.restype = None
@@ -183,8 +183,8 @@ STATE_MAX = 4 + 9 * 255
 
 def train(lines: list[bytes]) -> bytes:
     """Train a symbol table on `lines` (sample, 5 generations,
-    finalize); returns the state blob of Compressor.symbol_table_bytes(),
-    byte-identical to fsst.train_oracle's."""
+    finalize); returns its state blob, byte-identical to the reference
+    crate's table."""
     offsets = np.zeros(len(lines) + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)), out=offsets[1:])
     data = np.frombuffer(b"".join(lines), dtype=np.uint8)
@@ -198,54 +198,57 @@ def train(lines: list[bytes]) -> bytes:
     return out[:written].tobytes()
 
 
-def compress_bulk(data: np.ndarray, offsets: np.ndarray, comp) -> tuple[np.ndarray, np.ndarray]:
-    """Compress rows of `data` (uint8, concatenated; `offsets` int64
-    n_rows+1) with a trained fsst.Compressor. Returns (codes, out_offsets).
-    """
-    n_rows = len(offsets) - 1
+def _zero_based(data: np.ndarray, offsets: np.ndarray):
+    """(data, offsets) as contiguous arrays, a sliced view rebased so
+    offsets[0] == 0."""
     data = np.ascontiguousarray(data, dtype=np.uint8)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    total = int(offsets[-1]) - int(offsets[0])
-    if int(offsets[0]) != 0:
-        # normalize a sliced view to zero-based offsets
+    if len(offsets) > 1 and int(offsets[0]) != 0:
         data = data[int(offsets[0]) : int(offsets[-1])]
         offsets = offsets - offsets[0]
+    return data, offsets
+
+
+# fsst_native.c's STATE_CORRUPT and NO_MEMORY returns
+_STATE_CORRUPT = -2
+_NO_MEMORY = -3
+
+
+def _fsst_call(fn, data, offsets, state, *rest) -> int:
+    """Run an FSST bulk entry point on rows of `data` with the state
+    blob; raises on the kernel's malformed-state and no-memory codes."""
+    blob = np.frombuffer(state, dtype=np.uint8)
+    written = fn(
+        _ptr(data, ctypes.c_uint8), _ptr(offsets, ctypes.c_int64), len(offsets) - 1,
+        _ptr(blob, ctypes.c_uint8), len(blob), *rest,
+    )
+    if written == _STATE_CORRUPT:
+        raise ValueError("corrupt chunk: malformed fsst symbol table")
+    if written == _NO_MEMORY:
+        raise MemoryError("fsst_compress_bulk could not allocate its encoder")
+    return written
+
+
+def compress_bulk(data: np.ndarray, offsets: np.ndarray, state: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Compress rows of `data` (uint8, concatenated; `offsets` int64
+    n_rows+1) with the symbol table of a state blob. Returns (codes,
+    out_offsets)."""
+    data, offsets = _zero_based(data, offsets)
+    n_rows = len(offsets) - 1
     # lane-slotted worst-case layout: 2 bytes/input byte + 8 per row
-    out = np.empty(2 * total + 8 * n_rows + 8, dtype=np.uint8)
+    out = np.empty(2 * int(offsets[-1]) + 8 * n_rows + 8, dtype=np.uint8)
     out_offsets = np.empty(n_rows + 1, dtype=np.int64)
-    written = get_lib().fsst_compress_bulk(
-        _ptr(data, ctypes.c_uint8),
-        _ptr(offsets, ctypes.c_int64),
-        n_rows,
-        _ptr(comp.codes_two_byte, ctypes.c_uint16),
-        _ptr(comp.pht_symbol, ctypes.c_uint64),
-        _ptr(comp.pht_code, ctypes.c_uint16),
-        _ptr(comp.pht_ignored, ctypes.c_uint16),
-        comp.has_suffix_code,
-        _ptr(out, ctypes.c_uint8),
-        _ptr(out_offsets, ctypes.c_int64),
+    written = _fsst_call(
+        get_lib().fsst_compress_bulk, data, offsets, state,
+        _ptr(out, ctypes.c_uint8), _ptr(out_offsets, ctypes.c_int64),
     )
     return out[:written].copy(), out_offsets
-
-
-def _pad_tables(symbols: np.ndarray, lengths: np.ndarray):
-    symbols = np.ascontiguousarray(symbols, dtype=np.uint64)
-    lengths = np.ascontiguousarray(lengths, dtype=np.uint8)
-    if len(symbols) < 256:  # C indexes blindly by code byte
-        symbols = np.concatenate(
-            [symbols, np.zeros(256 - len(symbols), dtype=np.uint64)]
-        )
-        lengths = np.concatenate(
-            [lengths, np.zeros(256 - len(lengths), dtype=np.uint8)]
-        )
-    return symbols, lengths
 
 
 def decompress_bulk_at(
     codes: np.ndarray,
     offsets: np.ndarray,
-    symbols: np.ndarray,
-    lengths: np.ndarray,
+    state: bytes,
     out: np.ndarray,
     out_offsets: np.ndarray,
 ) -> int:
@@ -259,77 +262,40 @@ def decompress_bulk_at(
     row's region, so `out` needs NO slack bytes. Returns total decoded
     bytes; raises if any row does not decode to exactly its region
     (corrupt stream)."""
-    n_rows = len(offsets) - 1
-    codes = np.ascontiguousarray(codes, dtype=np.uint8)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    if n_rows and int(offsets[0]) != 0:
-        codes = codes[int(offsets[0]) : int(offsets[-1])]
-        offsets = offsets - offsets[0]
+    codes, offsets = _zero_based(codes, offsets)
     out_offsets = np.ascontiguousarray(out_offsets, dtype=np.int64)
     assert out.dtype == np.uint8 and out.flags["C_CONTIGUOUS"]
-    symbols, lengths = _pad_tables(symbols, lengths)
-    written = get_lib().fsst_decompress_bulk_at(
-        _ptr(codes, ctypes.c_uint8),
-        _ptr(offsets, ctypes.c_int64),
-        n_rows,
-        _ptr(symbols, ctypes.c_uint64),
-        _ptr(lengths, ctypes.c_uint8),
-        _ptr(out, ctypes.c_uint8),
-        _ptr(out_offsets, ctypes.c_int64),
+    written = _fsst_call(
+        get_lib().fsst_decompress_bulk_at, codes, offsets, state,
+        _ptr(out, ctypes.c_uint8), _ptr(out_offsets, ctypes.c_int64),
     )
     if written < 0:
-        raise ValueError(
-            "fsst segment decoded to unexpected size (corrupt stream)"
-        )
+        raise ValueError("corrupt chunk: fsst segment decoded to unexpected size")
     return int(written)
 
 
 def decompress_bulk(
-    codes: np.ndarray, offsets: np.ndarray, symbols: np.ndarray, lengths: np.ndarray,
-    decoded_size_hint: int | None = None, out: np.ndarray | None = None,
+    codes: np.ndarray, offsets: np.ndarray, state: bytes,
+    decoded_size_hint: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decompress rows of `codes` back to plaintext bytes.
+    """Decompress rows of `codes` back to plaintext bytes. Returns
+    (decoded, out_offsets).
 
     decoded_size_hint, when known exactly (tokens: 4*sum(n_tok)), sizes
     the output buffer tightly; otherwise worst case 8x is used.
-
-    `out`, when given, is the destination uint8 buffer: the decoded
-    bytes are written in place (no allocation, no copy-out) and the
-    returned array is a view of it. The CALLER must guarantee 8
-    writable bytes of memory beyond out's end (the kernel's symbol
-    writes are full 8-byte stores) — e.g. slices of a batch-level
-    buffer allocated with 8 spare bytes, filled in ascending order so
-    each slice's overshoot lands in the not-yet-decoded next slice.
     """
-    n_rows = len(offsets) - 1
-    codes = np.ascontiguousarray(codes, dtype=np.uint8)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    if int(offsets[0]) != 0:
-        codes = codes[int(offsets[0]) : int(offsets[-1])]
-        offsets = offsets - offsets[0]
+    codes, offsets = _zero_based(codes, offsets)
     total = int(offsets[-1])
-    symbols, lengths = _pad_tables(symbols, lengths)
-    if out is not None:
-        assert out.dtype == np.uint8 and out.flags["C_CONTIGUOUS"]
-        dest, cap = out, len(out) + 8  # +8: caller-guaranteed slack
-    else:
-        cap = (decoded_size_hint if decoded_size_hint is not None else 8 * total) + 8
-        dest = np.empty(cap, dtype=np.uint8)
-    out_offsets = np.empty(n_rows + 1, dtype=np.int64)
-    written = get_lib().fsst_decompress_bulk(
-        _ptr(codes, ctypes.c_uint8),
-        _ptr(offsets, ctypes.c_int64),
-        n_rows,
-        _ptr(symbols, ctypes.c_uint64),
-        _ptr(lengths, ctypes.c_uint8),
-        _ptr(dest, ctypes.c_uint8),
-        cap,
-        _ptr(out_offsets, ctypes.c_int64),
+    # +8: the kernel's symbol writes are full 8-byte stores
+    cap = (decoded_size_hint if decoded_size_hint is not None else 8 * total) + 8
+    dest = np.empty(cap, dtype=np.uint8)
+    out_offsets = np.empty(len(offsets), dtype=np.int64)
+    written = _fsst_call(
+        get_lib().fsst_decompress_bulk, codes, offsets, state,
+        _ptr(dest, ctypes.c_uint8), cap, _ptr(out_offsets, ctypes.c_int64),
     )
     if written < 0:
         raise ValueError("fsst decode exceeded output capacity (bad size hint or corrupt stream)")
-    if out is not None:
-        return dest[:written], out_offsets
     # exact size hint: hand back a view (8-byte slack retained);
     # worst-case sizing: copy out so the 8x buffer can be freed
     if decoded_size_hint is not None and written >= cap - 8:

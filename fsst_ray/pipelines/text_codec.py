@@ -20,14 +20,14 @@ def text_roundtrip_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     col = batch[text_col]
     arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
     lines = [t.encode() for t in arr.to_pylist()]
-    comp = fsst.train(lines)
+    state = fsst.train(lines)
 
     offsets = np.zeros(len(lines) + 1, dtype=np.int64)
     np.cumsum([len(b) for b in lines], out=offsets[1:])
     data = np.frombuffer(b"".join(lines), dtype=np.uint8)
-    codes, code_offsets = native.compress_bulk(data, offsets, comp)
+    codes, code_offsets = native.compress_bulk(data, offsets, state)
     decoded, dec_offsets = native.decompress_bulk(
-        codes, code_offsets, comp.symbols, comp.lengths, decoded_size_hint=int(offsets[-1])
+        codes, code_offsets, state, decoded_size_hint=int(offsets[-1])
     )
     assert np.array_equal(dec_offsets, offsets), "fsst text round-trip length mismatch"
     raw = decoded.tobytes()

@@ -44,10 +44,7 @@ def decode_chunks_batch(batch: pa.Table) -> pa.Table:
     # per-chunk token counts -> slice bounds in one preallocated values
     # buffer; each payload decodes IN PLACE into its slice (saves two
     # full passes of memory traffic vs decode-then-concatenate — this
-    # stage is bandwidth-bound at high parallelism). +2 spare int32 at
-    # the end: the fsst kernel's symbol writes are 8-byte stores, and
-    # slices are filled in ascending order so an overshoot lands in the
-    # next, not-yet-decoded slice (the last slice hits the spare).
+    # stage is bandwidth-bound at high parallelism).
     ndocs_per_chunk = pc.list_value_length(ntok_lists).to_numpy(
         zero_copy_only=False
     ).astype(np.int64)
@@ -55,8 +52,7 @@ def decode_chunks_batch(batch: pa.Table) -> pa.Table:
     np.cumsum(ndocs_per_chunk, out=doc_bounds[1:])
     chunk_ntok = offsets[doc_bounds[1:]] - offsets[doc_bounds[:-1]]
     total = int(n_tok_np.sum())
-    buf = np.empty(total + 2, dtype=np.int32)
-    values = buf[:total]
+    values = np.empty(total, dtype=np.int32)
     pos = 0
     for r in range(batch.num_rows):
         c = int(chunk_ntok[r])

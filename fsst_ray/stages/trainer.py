@@ -83,13 +83,25 @@ def _budget_prefix(codes: np.ndarray, priority: np.ndarray, size: np.ndarray) ->
     return order[before < FSST_SAMPLEMAX]
 
 
+def _source_codes(source: pa.ChunkedArray | pa.Array) -> tuple[pa.Array, np.ndarray]:
+    """(names, codes): the distinct source names in sorted order, and
+    each row's index into them. One dictionary encode numbers the rows;
+    only the few distinct names are sorted."""
+    if isinstance(source, pa.ChunkedArray):
+        source = source.combine_chunks()
+    enc = pc.dictionary_encode(source.cast(pa.string()))
+    order = pc.array_sort_indices(enc.dictionary).to_numpy()
+    rank = np.empty(len(order), np.int64)
+    rank[order] = np.arange(len(order))
+    return enc.dictionary.take(order), rank[enc.indices.to_numpy()]
+
+
 def _block(batch: pa.Table, n_tok: np.ndarray):
     """One block's mass rows (one per source) followed by its budget
     prefix of sample rows, without a payload column; plus the kept
     rows' indices and chunk spans."""
-    sources = batch["source"].to_numpy(zero_copy_only=False)
     priority = _doc_priorities(batch["doc_id"])
-    names, inv = np.unique(sources, return_inverse=True)
+    names, inv = _source_codes(batch["source"])
     lo, size = sample_spans(n_tok, priority)
     rows = np.flatnonzero(size)
     keep = rows[_budget_prefix(inv[rows], priority[rows], size[rows])]
@@ -97,7 +109,7 @@ def _block(batch: pa.Table, n_tok: np.ndarray):
     m, zeros = len(names), np.zeros(len(keep), np.int64)
     head = pa.table(
         {
-            "source": pa.array(np.concatenate([names, sources[keep]]), pa.string()),
+            "source": pa.concat_arrays([names, names.take(inv[keep])]),
             "priority": np.concatenate([np.zeros(m, np.uint64), priority[keep]]),
             "is_mass": np.arange(m + len(keep)) < m,
             "mass": np.concatenate([mass, zeros]),
@@ -137,7 +149,7 @@ def _sizes(samples: pa.Table) -> np.ndarray:
 
 
 def _keep_budget(samples: pa.Table) -> pa.Table:
-    codes = np.unique(samples["source"].to_numpy(zero_copy_only=False), return_inverse=True)[1]
+    codes = _source_codes(samples["source"])[1]
     return samples.take(_budget_prefix(codes, samples["priority"].to_numpy(), _sizes(samples)))
 
 

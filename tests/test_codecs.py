@@ -9,7 +9,7 @@ import pytest
 
 from fsst_ray import codecs
 from fsst_ray.codecs import decode_payload, encode_chunk, select_codec
-from fsst_ray.codecs.fsst_codec import train_from_lines
+from fsst_ray.codecs.fsst_codec import train_with_ratio
 from fsst_ray.codecs.simple import pack_bits, unpack_bits
 
 RNG = np.random.default_rng(42)
@@ -33,7 +33,7 @@ CASES = {
 @pytest.fixture(scope="module")
 def fsst_state():
     lines = [CASES["zipf"][i : i + 256].astype("<i4").tobytes() for i in range(0, 5000, 256)]
-    return train_from_lines(lines)
+    return train_with_ratio(lines)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -55,8 +55,8 @@ def test_roundtrip(name, case, fsst_state):
 def test_roundtrip_into(name, case, fsst_state):
     """decode_payload_into must produce the same values as
     decode_payload when writing into a slice of a larger buffer, and
-    never touch bytes outside its slice + the documented 8-byte slack
-    (the next-slice region, here sentinel-checked beyond it)."""
+    never write outside its slice: every int32 after it keeps its
+    sentinel."""
     from fsst_ray.codecs import decode_payload_into
 
     values = CASES[case]
@@ -65,11 +65,10 @@ def test_roundtrip_into(name, case, fsst_state):
         pytest.skip("bitpack requires non-negative values")
     state = fsst_state if name == "fsst" else None
     payload = codec.encode(values, state)
-    pad = 16  # slack region: first 2 int32 may be overwritten (8-byte stores)
-    buf = np.full(len(values) + pad, -12345, dtype=np.int32)
+    buf = np.full(len(values) + 16, -12345, dtype=np.int32)
     decode_payload_into(payload, buf[: len(values)])
     assert np.array_equal(buf[: len(values)], values), f"{name} into-decode on {case}"
-    assert np.all(buf[len(values) + 2 :] == -12345), "write beyond documented slack"
+    assert np.all(buf[len(values) :] == -12345), "write beyond the output slice"
 
 
 def test_decode_payload_into_length_mismatch():
@@ -122,8 +121,13 @@ def test_selection_preferences(fsst_state):
     assert name == "rle"
     name, _ = select_codec(CASES["smallrange"])
     assert name in ("for", "bitpack", "dict")
-    name, est = select_codec(CASES["highbyte"], fsst_state)
-    assert est["plain"] <= est["fsst"] * 1.2  # escape-heavy fsst shouldn't win big
+    # escape-heavy fsst shouldn't win big: the estimate prices a chunk
+    # at its source's training ratio, so train on highbyte bytes as
+    # pass 1 would for a highbyte source
+    raw = CASES["highbyte"].astype("<i4").tobytes()
+    highbyte_state = train_with_ratio([raw[i : i + 512] for i in range(0, len(raw), 512)])
+    name, est = select_codec(CASES["highbyte"], highbyte_state)
+    assert est["plain"] <= est["fsst"] * 1.2
 
     # zipf token text: fsst should beat plain
     name, est = select_codec(CASES["zipf"], fsst_state)
@@ -171,8 +175,8 @@ def test_truncated_body_raises(name):
 def test_fsst_decode_big_table_via_signed_memoryview():
     """Regression: decode_payload_into receives memoryview(pa.Buffer)
     whose format is SIGNED 'b'. A symbol table whose count's low byte
-    is >= 0x80 (e.g. the full 255) parsed via byte indexing went
-    negative and broke np.frombuffer; the count must be read unsigned."""
+    is >= 0x80 (e.g. the full 255) once parsed as a negative count; the
+    kernel must read the blob's bytes unsigned."""
     import pyarrow as pa
 
     from fsst_ray.codecs.base import decode_payload_into
@@ -188,17 +192,61 @@ def test_fsst_decode_big_table_via_signed_memoryview():
         b" ".join(words[i] for i in rng.integers(0, len(words), size=40))
         for _ in range(64)
     ]
-    state = train_from_lines(lines)
-    n_syms = state[1] | (state[2] << 8)
+    state = train_with_ratio(lines)
+    n_syms = state["fsst"][1] | (state["fsst"][2] << 8)
     assert n_syms >= 128, f"table too small to exercise the bug ({n_syms})"
 
     values = rng.integers(0, 1 << 20, size=4096).astype(np.int32)
     codec = FsstCodec()
     payload = codec.encode(values, state)
     buf = pa.py_buffer(payload)  # memoryview(pa.Buffer) => signed format
-    out = np.empty(len(values) + 2, dtype=np.int32)
-    decode_payload_into(memoryview(buf), out[: len(values)])
-    assert (out[: len(values)] == values).all()
+    out = np.empty(len(values), dtype=np.int32)
+    decode_payload_into(memoryview(buf), out)
+    assert (out == values).all()
+
+
+def _corrupt_fsst_header(payload: bytes, how: str) -> bytes:
+    """`payload` (a framed fsst chunk) with one field of its state header
+    broken. Body: u32 state_len | segmented flag, then the state blob
+    [version, n lo, n hi, has_suffix_code, n u64 symbols, n u8 lengths]."""
+    b = bytearray(payload)
+    state_len_at, state_at = 10, 14
+    (word,) = struct.unpack_from("<I", b, state_len_at)
+    n = b[state_at + 1] | (b[state_at + 2] << 8)
+    lengths_at = state_at + 4 + 8 * n
+    if how == "version":
+        b[state_at] = 2
+    elif how in ("n+1", "n-1"):
+        struct.pack_into("<H", b, state_at + 1, n + (1 if how == "n+1" else -1))
+    elif how in ("state_len+1", "state_len-1"):
+        struct.pack_into("<I", b, state_len_at, word + (1 if how == "state_len+1" else -1))
+    elif how in ("length=0", "length=9"):
+        b[lengths_at] = int(how[-1])
+    elif how == "suffix>n":
+        b[state_at + 3] = n + 1
+    return bytes(b)
+
+
+@pytest.mark.parametrize(
+    "how",
+    ["version", "n+1", "n-1", "state_len+1", "state_len-1", "length=0", "length=9", "suffix>n"],
+)
+def test_corrupt_fsst_state_header_raises(how, fsst_state):
+    """A broken state header is a corrupt chunk on both decode paths,
+    never a decode with a wrong or misread table."""
+    from fsst_ray.codecs import decode_payload_into
+
+    values = CASES["zipf"]
+    payload = codecs.CODEC_BY_NAME["fsst"].encode(values, fsst_state)
+    n = fsst_state["fsst"][1] | (fsst_state["fsst"][2] << 8)
+    assert 0 < n < 255  # room for has_suffix_code = n + 1
+    assert np.array_equal(decode_payload(payload), values)
+    bad = _corrupt_fsst_header(payload, how)
+    assert bad != payload
+    with pytest.raises(ValueError, match="corrupt chunk"):
+        decode_payload(bad)
+    with pytest.raises(ValueError, match="corrupt chunk"):
+        decode_payload_into(bad, np.empty(len(values), dtype=np.int32))
 
 
 def test_pfor_exact_estimate_and_family_win():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsst_ray.codecs import decode_payload, encode_chunk
-from fsst_ray.codecs.fsst_codec import train_from_lines
+from fsst_ray.codecs.fsst_codec import train_with_ratio
 from fsst_ray.codecs.simple import pack_bits, unpack_bits
 
 I32 = st.integers(min_value=-(2**31), max_value=2**31 - 1)
@@ -52,7 +52,7 @@ def test_each_codec_roundtrip(values):
 @settings(max_examples=30, deadline=None)
 @given(values=st.one_of(chunks, skewed))
 def test_fsst_codec_roundtrip(values):
-    state = train_from_lines([values.astype("<i4").tobytes()[:512] or b"x"])
+    state = train_with_ratio([values.astype("<i4").tobytes()[:512] or b"x"])
     payload, meta = encode_chunk(values, state=state, forced_codec="fsst")
     out = decode_payload(payload)
     assert np.array_equal(out.astype(np.int32), values), meta

@@ -1,15 +1,40 @@
 """Unit tests pinning FSST kernel semantics — ports of the reference's
 correctness cases (reference tests/correctness.rs, src/builder.rs:854-934
-and doctests src/lib.rs:313-323, 434-450) to byte/token inputs."""
+and doctests src/lib.rs:313-323, 434-450) to byte/token inputs, run on
+the engine path (C trainer, state blob, C encode/decode), and the C
+trainer and encoder held byte-equal to the Python oracle."""
 
 from __future__ import annotations
 
+import pathlib
+import sys
 import time
 
 import numpy as np
 import pytest
 
+sys.path.insert(0, str(pathlib.Path(__file__).parent))
+import fsst_oracle  # noqa: E402
+
 from fsst_ray.kernel import fsst, native
+
+
+def _compress_rows(state: bytes, lines: list[bytes]) -> list[bytes]:
+    offsets = np.zeros(len(lines) + 1, dtype=np.int64)
+    np.cumsum([len(ln) for ln in lines], out=offsets[1:])
+    data = np.frombuffer(b"".join(lines), dtype=np.uint8)
+    codes, off = native.compress_bulk(data, offsets, state)
+    return [codes[off[r] : off[r + 1]].tobytes() for r in range(len(lines))]
+
+
+def compress(state: bytes, line: bytes) -> bytes:
+    return _compress_rows(state, [line])[0]
+
+
+def decompress(state: bytes, codes: bytes) -> bytes:
+    offsets = np.array([0, len(codes)], dtype=np.int64)
+    out, _ = native.decompress_bulk(np.frombuffer(codes, dtype=np.uint8), offsets, state)
+    return out.tobytes()
 
 
 def test_basic_roundtrip():
@@ -18,60 +43,63 @@ def test_basic_roundtrip():
         b"This is a test paragraph with some repeated words words words "
         b"and the usual english patterns the the the of of and and"
     )
-    comp = fsst.train([text])
-    compressed = comp.compress(text)
-    assert comp.decompressor().decompress(compressed) == text
+    state = fsst.train([text])
+    assert decompress(state, compress(state, text)) == text
     # compression kicks in once symbols clear the count cutoff
-    comp5 = fsst.train([text] * 20)
-    assert len(comp5.compress(text)) < len(text)
+    state5 = fsst.train([text] * 20)
+    assert len(compress(state5, text)) < len(text)
 
 
 def test_train_on_empty():
     # mirror of test_train_on_empty (tests/correctness.rs:25-34)
-    comp = fsst.train([])
-    assert comp.n_symbols == 0
+    state = fsst.train([])
+    assert state == bytes([1, 0, 0, 0])  # no symbols
     data = b"anything at all"
-    compressed = comp.compress(data)
+    compressed = compress(state, data)
     # all-escape: exactly 2x size, alternating [255, byte]
     assert len(compressed) == 2 * len(data)
     assert compressed[::2] == b"\xff" * len(data)
     assert compressed[1::2] == data
-    assert comp.decompressor().decompress(compressed) == data
+    assert decompress(state, compressed) == data
 
 
 def test_empty_corpus_lines():
-    comp = fsst.train([b"", b"", b""])
-    assert comp.compress(b"") == b""
-    assert comp.decompressor().decompress(b"") == b""
+    state = fsst.train([b"", b"", b""])
+    assert compress(state, b"") == b""
+    assert decompress(state, b"") == b""
 
 
 def test_one_byte_handbuilt():
     # mirror of test_one_byte (tests/correctness.rs:36-47) + doctest
     # src/lib.rs:313-323: a single inserted symbol compresses to [0]
-    builder = fsst.CompressorBuilder()
+    builder = fsst_oracle.CompressorBuilder()
     sym = int.from_bytes(b"hello\x00\x00\x00", "little")
     assert builder.insert(sym, 5)
     comp = builder.build()
     assert comp.compress(b"hello") == b"\x00"
     assert comp.decompressor().decompress(b"\x00") == b"hello"
+    state = comp.symbol_table_bytes()
+    assert compress(state, b"hello") == b"\x00"
+    assert decompress(state, b"\x00") == b"hello"
 
 
 def test_eight_byte_symbol_code_zero():
     # doctest src/lib.rs:434-450
-    builder = fsst.CompressorBuilder()
+    builder = fsst_oracle.CompressorBuilder()
     sym = int.from_bytes(b"aaaaaaaa", "little")
     assert builder.insert(sym, 8)
     comp = builder.build()
     assert comp.compress(b"aaaaaaaa") == b"\x00"
+    assert compress(comp.symbol_table_bytes(), b"aaaaaaaa") == b"\x00"
 
 
 def test_zeros():
     # mirror of test_zeros (tests/correctness.rs:49-55): the all-zero
     # symbol special case (src/lib.rs:52-69)
     corpus = [b"\x00" * 64, b"\x00\x01\x02\x03\x04\x00" * 8]
-    comp = fsst.train(corpus)
+    state = fsst.train(corpus)
     for line in corpus + [b"\x00", b"\x00" * 7]:
-        assert comp.decompressor().decompress(comp.compress(line)) == line
+        assert decompress(state, compress(state, line)) == line
 
 
 def test_large_cyclic():
@@ -79,25 +107,24 @@ def test_large_cyclic():
     # corpus, much larger compress input
     motif = bytes(range(48)) * 4
     train_corpus = [motif * 50]
-    comp = fsst.train(train_corpus)
+    state = fsst.train(train_corpus)
     big = motif * 4096  # ~780 KB
-    compressed = comp.compress(big)
+    compressed = compress(state, big)
     assert len(compressed) < len(big) // 2
-    assert comp.decompressor().decompress(compressed) == big
+    assert decompress(state, compressed) == big
 
 
 def test_exact_escape_sequence():
     # mirror of test_builder (src/builder.rs:876-892): unseen bytes
     # escape as [255, b] pairs; trained text has no escapes
     text = b"hello hello hello hello hello"
-    comp = fsst.train([text] * 5)
-    compressed = comp.compress(text)
-    assert 255 not in compressed
-    unseen = comp.compress(b"xyz123")
+    state = fsst.train([text] * 5)
+    assert 255 not in compress(state, text)
+    unseen = compress(state, b"xyz123")
     assert unseen == bytes(
         b for ch in b"xyz123" for b in (255, ch)
     )
-    assert comp.decompressor().decompress(unseen) == b"xyz123"
+    assert decompress(state, unseen) == b"xyz123"
 
 
 def test_training_determinism():
@@ -109,22 +136,18 @@ def test_training_determinism():
         .tobytes()
         for _ in range(500)
     ]
-    a = fsst.train(lines)
-    b = fsst.train(lines)
-    assert np.array_equal(a.symbols, b.symbols)
-    assert np.array_equal(a.lengths, b.lengths)
-    assert a.has_suffix_code == b.has_suffix_code
+    assert fsst.train(lines) == fsst.train(lines)
 
 
 def test_worst_case_bound():
     # compressed size never exceeds 2x input (src/lib.rs:523-525)
     rng = np.random.default_rng(9)
-    comp = fsst.train([rng.integers(0, 256, 100).astype(np.uint8).tobytes()])
+    state = fsst.train([rng.integers(0, 256, 100).astype(np.uint8).tobytes()])
     for _ in range(20):
         data = rng.integers(0, 256, int(rng.integers(0, 200))).astype(np.uint8).tobytes()
-        compressed = comp.compress(data)
+        compressed = compress(state, data)
         assert len(compressed) <= 2 * len(data)
-        assert comp.decompressor().decompress(compressed) == data
+        assert decompress(state, compressed) == data
 
 
 def test_randomized_roundtrip_property():
@@ -136,10 +159,9 @@ def test_randomized_roundtrip_property():
             rng.integers(0, 256, int(rng.integers(0, 300))).astype(np.uint8).tobytes()
             for _ in range(n_lines)
         ]
-        comp = fsst.train(lines)  # must never crash
-        dec = comp.decompressor()
+        state = fsst.train(lines)  # must never crash
         for line in lines:
-            assert dec.decompress(comp.compress(line)) == line
+            assert decompress(state, compress(state, line)) == line
 
 
 def test_train_never_panics_on_adversarial_bytes():
@@ -160,10 +182,9 @@ def test_train_never_panics_on_adversarial_bytes():
         [rng.integers(0, 2, 1000).astype(np.uint8).tobytes() for _ in range(64)],
     ]
     for lines in adversarial:
-        comp = fsst.train(lines)  # must never raise
-        dec = comp.decompressor()
+        state = fsst.train(lines)  # must never raise
         for line in lines:
-            assert dec.decompress(comp.compress(line)) == line
+            assert decompress(state, compress(state, line)) == line
 
 
 # ---- C trainer vs the Python oracle, byte for byte ----
@@ -215,17 +236,18 @@ TRAIN_CASES = {
 def test_c_trainer_matches_oracle(case, monkeypatch):
     lines = TRAIN_CASES[case](np.random.default_rng(len(case)))
     rejected = []
-    pht_insert = fsst.CompressorBuilder._pht_insert
+    pht_insert = fsst_oracle.CompressorBuilder._pht_insert
 
     def counting_insert(self, symbol, length, code):
         ok = pht_insert(self, symbol, length, code)
         rejected.append(not ok)
         return ok
 
-    monkeypatch.setattr(fsst.CompressorBuilder, "_pht_insert", counting_insert)
-    oracle = fsst.train_oracle(lines).symbol_table_bytes()
-    assert native.train(lines) == oracle
-    assert fsst.train(lines).symbol_table_bytes() == oracle
+    monkeypatch.setattr(fsst_oracle.CompressorBuilder, "_pht_insert", counting_insert)
+    comp = fsst_oracle.train_oracle(lines)
+    oracle = comp.symbol_table_bytes()
+    assert fsst.train(lines) == oracle
+    assert _compress_rows(oracle, lines) == [comp.compress(ln) for ln in lines]
     # each case reaches the shape it is named for
     n_symbols = oracle[1] | (oracle[2] << 8)
     total = sum(map(len, lines))
@@ -247,7 +269,9 @@ def test_c_trainer_matches_oracle(case, monkeypatch):
 
 def test_c_trainer_fuzz_matches_oracle():
     """Seeded mix of line counts, lengths and byte alphabets, spanning
-    both sampling paths (under and over 16 KiB in total)."""
+    both sampling paths (under and over 16 KiB in total): the C blob
+    equals the oracle's, and the C encoder loaded from it writes the
+    oracle's bytes on every line."""
     rng = np.random.default_rng(0x7A1)
     for trial in range(40):
         n = int(rng.integers(0, 120))
@@ -258,7 +282,10 @@ def test_c_trainer_fuzz_matches_oracle():
             else rng.integers(0, alphabet, int(rng.integers(1, width))).astype(np.uint8).tobytes()
             for _ in range(n)
         ]
-        assert native.train(lines) == fsst.train_oracle(lines).symbol_table_bytes(), trial
+        comp = fsst_oracle.train_oracle(lines)
+        state = fsst.train(lines)
+        assert state == comp.symbol_table_bytes(), trial
+        assert _compress_rows(state, lines) == [comp.compress(ln) for ln in lines], trial
 
 
 def test_make_sample_is_linear_in_lines():
@@ -267,7 +294,7 @@ def test_make_sample_is_linear_in_lines():
     seconds, O(picks x lines)); the bound leaves a 50x margin."""
     lines = [b"abcdefghijklmnopqrst"] * 100_000
     t0 = time.perf_counter()
-    sample = fsst.make_sample(lines)
+    sample = fsst_oracle.make_sample(lines)
     assert time.perf_counter() - t0 < 0.5
     assert sum(map(len, sample)) >= fsst.FSST_SAMPLETARGET
-    assert native.train(lines) == fsst.train_oracle(lines).symbol_table_bytes()
+    assert fsst.train(lines) == fsst_oracle.train_oracle(lines).symbol_table_bytes()

@@ -1,4 +1,5 @@
-"""The C kernel must produce byte-identical output to the Python oracle."""
+"""The C kernel must produce byte-identical output to the Python oracle
+(tests/fsst_oracle.py)."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
+import fsst_oracle  # noqa: E402
 from golden_corpora import CORPORA  # noqa: E402
 
 from fsst_ray.kernel import fsst, native
@@ -28,10 +30,12 @@ def test_native_available():
 @pytest.mark.parametrize("name", sorted(CORPORA))
 def test_native_matches_oracle(name):
     lines = CORPORA[name]()
-    comp = fsst.train(lines)
+    state = fsst.train(lines)
+    comp = fsst_oracle.train_oracle(lines)
+    assert state == comp.symbol_table_bytes()
     data, offsets = _pack_rows(lines)
 
-    codes, code_offsets = native.compress_bulk(data, offsets, comp)
+    codes, code_offsets = native.compress_bulk(data, offsets, state)
     # parity vs the Python oracle, row by row
     expected = [comp.compress(ln) for ln in lines]
     for r, exp in enumerate(expected):
@@ -40,7 +44,7 @@ def test_native_matches_oracle(name):
 
     total_plain = int(offsets[-1])
     out, out_offsets = native.decompress_bulk(
-        codes, code_offsets, comp.symbols, comp.lengths, decoded_size_hint=total_plain
+        codes, code_offsets, state, decoded_size_hint=total_plain
     )
     assert out.tobytes() == b"".join(lines)
     assert np.array_equal(out_offsets, offsets)
@@ -48,13 +52,29 @@ def test_native_matches_oracle(name):
 
 def test_decode_capacity_guard():
     lines = [b"abcabcabc" * 10]
-    comp = fsst.train(lines * 5)
+    state = fsst.train(lines * 5)
     data, offsets = _pack_rows(lines)
-    codes, code_offsets = native.compress_bulk(data, offsets, comp)
+    codes, code_offsets = native.compress_bulk(data, offsets, state)
     with pytest.raises(ValueError):
-        native.decompress_bulk(
-            codes, code_offsets, comp.symbols, comp.lengths, decoded_size_hint=-8
-        )
+        native.decompress_bulk(codes, code_offsets, state, decoded_size_hint=-8)
+
+
+@pytest.mark.parametrize("entry", ["compress_bulk", "decompress_bulk", "decompress_bulk_at"])
+def test_malformed_state_is_corrupt_chunk(entry):
+    """Every FSST entry point validates the state blob it is given."""
+    state = fsst.train([b"abcabcabc" * 10] * 5)
+    data, offsets = _pack_rows([b"abcabcabc"])
+    call = {
+        "compress_bulk": lambda st: native.compress_bulk(data, offsets, st),
+        "decompress_bulk": lambda st: native.decompress_bulk(data, offsets, st),
+        "decompress_bulk_at": lambda st: native.decompress_bulk_at(
+            data[:0], offsets[:1], st, np.empty(0, np.uint8), offsets[:1]
+        ),
+    }[entry]
+    call(state)
+    for bad in (state[:-1], b"", b"\x02" + state[1:]):
+        with pytest.raises(ValueError, match="corrupt chunk"):
+            call(bad)
 
 
 def test_row_checksums_c_matches_numpy():
@@ -85,14 +105,12 @@ def test_decompress_bulk_at_matches_oracle(name):
     """The known-output-offsets lockstep decoder must reproduce every
     golden corpus row into its exact region, with no slack bytes."""
     lines = CORPORA[name]()
-    comp = fsst.train(lines)
+    state = fsst.train(lines)
     data, offsets = _pack_rows(lines)
-    codes, code_offsets = native.compress_bulk(data, offsets, comp)
+    codes, code_offsets = native.compress_bulk(data, offsets, state)
 
     out = np.full(int(offsets[-1]) + 4, 0xEE, dtype=np.uint8)  # canary tail
-    written = native.decompress_bulk_at(
-        codes, code_offsets, comp.symbols, comp.lengths, out, offsets
-    )
+    written = native.decompress_bulk_at(codes, code_offsets, state, out, offsets)
     assert written == int(offsets[-1])
     assert out[: written].tobytes() == b"".join(lines)
     assert np.all(out[written:] == 0xEE), "wrote outside declared regions"
@@ -109,19 +127,17 @@ def test_decompress_bulk_at_both_loop_bodies(esc_heavy):
     else:
         raw = np.tile(np.frombuffer(b"the quick brown fox ", dtype=np.uint8), 15_000)
         train_lines = [raw[:4096].tobytes()] * 8
-    comp = fsst.train(train_lines)
+    state = fsst.train(train_lines)
     seg = 1 << 12
     offsets = np.concatenate(
         [np.arange(0, len(raw), seg, dtype=np.int64), [len(raw)]]
     )
-    codes, code_offsets = native.compress_bulk(raw, offsets, comp)
+    codes, code_offsets = native.compress_bulk(raw, offsets, state)
     single, _ = native.decompress_bulk(
-        codes, code_offsets, comp.symbols, comp.lengths, decoded_size_hint=len(raw)
+        codes, code_offsets, state, decoded_size_hint=len(raw)
     )
     out = np.empty(len(raw), dtype=np.uint8)
-    written = native.decompress_bulk_at(
-        codes, code_offsets, comp.symbols, comp.lengths, out, offsets
-    )
+    written = native.decompress_bulk_at(codes, code_offsets, state, out, offsets)
     assert written == len(raw)
     assert np.array_equal(out, single[: len(raw)])
     assert out.tobytes() == raw.tobytes()
@@ -129,16 +145,14 @@ def test_decompress_bulk_at_both_loop_bodies(esc_heavy):
 
 def test_decompress_bulk_at_rejects_wrong_sizes():
     lines = [b"abcabcabc" * 100] * 6
-    comp = fsst.train(lines)
+    state = fsst.train(lines)
     data, offsets = _pack_rows(lines)
-    codes, code_offsets = native.compress_bulk(data, offsets, comp)
+    codes, code_offsets = native.compress_bulk(data, offsets, state)
     bad = offsets.copy()
     bad[1:] -= 1  # every region one byte short
     out = np.empty(int(offsets[-1]), dtype=np.uint8)
     with pytest.raises(ValueError):
-        native.decompress_bulk_at(
-            codes, code_offsets, comp.symbols, comp.lengths, out, bad
-        )
+        native.decompress_bulk_at(codes, code_offsets, state, out, bad)
 
 
 def test_get_lib_raises_when_library_cannot_load(monkeypatch, tmp_path):

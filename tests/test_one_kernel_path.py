@@ -6,10 +6,12 @@ silent implementation beside it. This scan parses every module under
 fsst_ray/ and tools/ and fails on any such comparison, or on a
 `_LOAD_FAILED` flag that would cache a load failure.
 
-Training has one path too: `fsst.train` runs the C trainer. The Python
-trainer (`fsst.train_oracle`, built on `CompressorBuilder`) is the test
-oracle, so no module outside kernel/fsst.py may name either, except the
-uses listed in TRAINER_ALLOWED.
+FSST has one handle too: `fsst.train` runs the C trainer and returns the
+state blob, which the C encode and decode entry points take as it is.
+The Python FSST (tests/fsst_oracle.py: `train_oracle`, `CompressorBuilder`,
+`Compressor`, ...) is the test oracle, so no module under fsst_ray/ may
+name it or import it, and a tool only for the uses listed in
+TRAINER_ALLOWED.
 """
 
 from __future__ import annotations
@@ -92,29 +94,46 @@ def test_scanner_sees_every_shape():
     ]
 
 
-ORACLE_TRAINER = ("train_oracle", "CompressorBuilder")
+ORACLE_NAMES = (
+    "train_oracle",
+    "CompressorBuilder",
+    "Compressor",
+    "compressor_from_state",
+    "make_sample",
+    "decompress_vector",
+    "fsst_oracle",
+)
 
-# (module, name) pairs allowed to name the oracle trainer outside its
-# own module: micro_bench hand-builds one-symbol tables to time the
-# compress paths (reference benches/micro.rs), and times the oracle
-# beside the C trainer (train_ms_oracle against train_ms_c)
+# (module, name) pairs allowed to name the oracle: micro_bench
+# hand-builds one-symbol tables to time the compress paths (reference
+# benches/micro.rs), and times the oracle beside the C trainer
+# (train_ms_oracle against train_ms_c)
 TRAINER_ALLOWED = {
     ("tools/micro_bench.py", "CompressorBuilder"),
     ("tools/micro_bench.py", "train_oracle"),
+    ("tools/micro_bench.py", "fsst_oracle"),
 }
 
 
 def _oracle_trainer_marks(tree: ast.AST) -> list[tuple[int, str]]:
-    """(line, name) for each reference to the oracle trainer: a call, an
-    attribute or name read, or an import of it."""
+    """(line, name) for each reference to the oracle: a call, an
+    attribute or name read, a definition, or an import of it or of its
+    module."""
     marks = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id in ORACLE_TRAINER:
+        if isinstance(node, ast.Name) and node.id in ORACLE_NAMES:
             marks.append((node.lineno, node.id))
-        elif isinstance(node, ast.Attribute) and node.attr in ORACLE_TRAINER:
+        elif isinstance(node, ast.Attribute) and node.attr in ORACLE_NAMES:
             marks.append((node.lineno, node.attr))
-        elif isinstance(node, ast.ImportFrom):
-            marks += [(node.lineno, a.name) for a in node.names if a.name in ORACLE_TRAINER]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in ORACLE_NAMES:
+            marks.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+            marks += [
+                (node.lineno, name)
+                for name in ORACLE_NAMES
+                if any(name in m.split(".") for m in modules)
+            ]
     return marks
 
 
@@ -122,8 +141,6 @@ def test_one_trainer_path():
     bad = []
     for path in SOURCES:
         rel = path.relative_to(ROOT).as_posix()
-        if rel == "fsst_ray/kernel/fsst.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         bad += [
             f"{rel}:{line} names {name}"
@@ -141,6 +158,13 @@ def test_trainer_scanner_sees_every_shape():
         "t = train_oracle\n"
         "b = CompressorBuilder()\n"
         "comp = fsst.train(lines)\n"
+        "c = fsst.compressor_from_state(blob)\n"
+        "def make_sample(lines): pass\n"
+        "class Compressor: pass\n"
+        "import fsst_oracle\n"
+        "from tests.fsst_oracle import Decompressor\n"
+        "out = decompress_vector(codes, s, n)\n"
+        "state = native.compress_bulk(data, offsets, blob)\n"
     )
     assert sorted(_oracle_trainer_marks(ast.parse(src))) == [
         (1, "train_oracle"),
@@ -148,4 +172,10 @@ def test_trainer_scanner_sees_every_shape():
         (3, "train_oracle"),
         (4, "train_oracle"),
         (5, "CompressorBuilder"),
+        (7, "compressor_from_state"),
+        (8, "make_sample"),
+        (9, "Compressor"),
+        (10, "fsst_oracle"),
+        (11, "fsst_oracle"),
+        (12, "decompress_vector"),
     ]

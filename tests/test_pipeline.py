@@ -314,6 +314,47 @@ def test_pass1_is_partition_independent(ray_session, tmp_path, monkeypatch):
     assert run(None, str(path)) == want
 
 
+# (states + mass, kept rows) digests of test_pass1_output_is_pinned
+PINNED_PASS1 = ("647bb15fa64b39e5", "6e5916a4e5548c60")
+
+
+def _pass1_digests(table: pa.Table, n_blocks: int) -> tuple[str, str]:
+    """sha256 of train_states' (states, mass) over `table` cut into
+    `n_blocks` blocks, and of the driver fold's kept sample rows."""
+    import hashlib
+    import json
+
+    import ray.data as rd
+
+    from fsst_ray.stages import trainer
+
+    cuts = np.linspace(0, table.num_rows, n_blocks + 1).astype(int)
+    blocks = [table.slice(a, b - a) for a, b in zip(cuts, cuts[1:])]
+    states, mass, _ = trainer.train_states(rd.from_arrow(blocks))
+    out = {s: [st["fsst"].hex(), repr(st["ratio"])] for s, st in states.items()}
+    _, kept = trainer._fold(trainer.sample_and_mass_batch(b) for b in blocks)
+    rows = {c: [v.hex() if isinstance(v, bytes) else v for v in kept[c].to_pylist()]
+            for c in kept.column_names}
+
+    def digest(obj):
+        return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+    return digest([out, mass]), digest(rows)
+
+
+def test_pass1_output_is_pinned(ray_session):
+    """Pass 1's states, mass and kept sample rows (in order) on the
+    SCALE corpus plus a short-doc source, in 7 blocks, equal the
+    digests taken when sources were numbered by an object-array sort:
+    numbering them by one dictionary encode per block moves nothing.
+    A change to the corpus generator changes these digests too."""
+    import pyarrow.parquet as pq
+
+    tokens = pq.read_table(ensure_tokens_parquet(SCALE))
+    table = pa.concat_tables([tokens, _short_docs_table().cast(tokens.schema)])
+    assert _pass1_digests(table, 7) == PINNED_PASS1
+
+
 def test_pass1_report_trains_only_new_sources(ray_session, tmp_path):
     """metrics["pass1"] records the route and the sources trained: a
     base encode trains every source, an append of known sources trains

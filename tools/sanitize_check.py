@@ -53,7 +53,8 @@ def main() -> int:
         LD_PRELOAD=libasan,
         # leak checking off: python itself "leaks" interned objects at
         # exit and would drown real reports; the kernel's only heap use
-        # is fsst_train's working memory, freed before it returns
+        # is the working memory of fsst_train and fsst_compress_bulk,
+        # freed before they return
         ASAN_OPTIONS="detect_leaks=0,abort_on_error=1",
         UBSAN_OPTIONS="halt_on_error=1,print_stacktrace=1",
     )

@@ -46,7 +46,7 @@ def ours(data: bytes) -> dict:
     # same sample rule as ref_bench stdin case: 512-byte lines of the
     # first 32 KiB (reference make_sample semantics on one big buffer)
     lines = [data[i : i + 512] for i in range(0, 1 << 15, 512) if i + 512 <= len(data)]
-    comp = fsst.train(lines)
+    state = fsst.train(lines)
 
     # best-of-3 per case, matching ref_bench's time_compress protocol.
     # One UNTIMED warm-up first: ref_bench reuses its output Vec across
@@ -70,15 +70,12 @@ def ours(data: bytes) -> dict:
     # 1-row shape (ratio parity case; single lane — the 4-lane
     # interleave needs multiple rows, see BASELINE.md cf=2 note)
     offsets = np.array([0, len(arr)], dtype=np.int64)
-    dt_c, (codes, _) = best3(lambda: native.compress_bulk(arr, offsets, comp))
-    dec = comp.decompressor()
-    symbols, lengths = dec.symbols, dec.lengths
+    dt_c, (codes, _) = best3(lambda: native.compress_bulk(arr, offsets, state))
     dt_d, (out, _) = best3(
         lambda: native.decompress_bulk(
             codes,
             np.array([0, len(codes)], dtype=np.int64),
-            symbols,
-            lengths,
+            state,
             decoded_size_hint=len(arr),
         )
     )
@@ -88,7 +85,7 @@ def ours(data: bytes) -> dict:
     # shape (per-row/chunk compression), engages the 4-lane kernel
     row_offsets = np.arange(0, len(arr) + 1023, 1024, dtype=np.int64)
     row_offsets[-1] = len(arr)
-    dt_rows, _ = best3(lambda: native.compress_bulk(arr, row_offsets, comp))
+    dt_rows, _ = best3(lambda: native.compress_bulk(arr, row_offsets, state))
     return {
         "ratio": round(len(data) / len(codes), 4),
         "compress_mb_s": round(len(data) / dt_c / (1 << 20), 1),
