@@ -127,7 +127,11 @@ def encode_chunk(
     codecs: tuple[str, ...] = DEFAULT_CODECS,
     forced_codec: str | None = None,
 ) -> tuple[bytes, dict]:
-    """Auto-select and encode one chunk. Returns (payload, meta)."""
+    """Auto-select and encode one chunk. Returns (payload, meta).
+
+    An auto-selected payload longer than plain's (10 + 4n bytes) is
+    replaced by the plain one: an estimate can misprice a chunk (FSST
+    prices it at its source's pass-1 ratio), never by more than that."""
     values = np.ascontiguousarray(values, dtype=np.int32)
     stats = chunk_stats(values)
     if forced_codec is not None:
@@ -136,6 +140,10 @@ def encode_chunk(
         name, estimates = select_codec(values, state, codecs, stats)
     codec = CODEC_BY_NAME[name]
     payload = codec.encode(values, state if name == "fsst" else None)
+    if forced_codec is None and len(payload) > 10 + 4 * len(values):
+        name = "plain"
+        estimates.setdefault(name, 4 * len(values))
+        payload = CODEC_BY_NAME[name].encode(values)
     meta = {
         "codec": name,
         "n_values": len(values),

@@ -153,3 +153,18 @@ def sorted_isin(sorted_vals: np.ndarray, x: np.ndarray) -> np.ndarray:
         return np.zeros(len(x), dtype=bool)
     pos = np.clip(np.searchsorted(sorted_vals, x), 0, len(sorted_vals) - 1)
     return sorted_vals[pos] == x
+
+
+def list_any(lists, flat_mask) -> np.ndarray:
+    """Per row of an Arrow list column: whether any of its values is
+    marked in `flat_mask`, a bool mask (numpy or Arrow) over the
+    column's flattened values. A null or empty list holds no value, so
+    it is False."""
+    import pyarrow.compute as pc
+
+    if isinstance(lists, pa.ChunkedArray):
+        lists = lists.combine_chunks()
+    parents = pc.list_parent_indices(lists).to_numpy(zero_copy_only=False)
+    out = np.zeros(len(lists), dtype=bool)
+    out[parents[np.asarray(flat_mask, dtype=bool)]] = True
+    return out

@@ -15,20 +15,23 @@ decode, no re-encode, no retraining).
 Crash safety (a compaction interrupted anywhere must never lose or
 duplicate rows — `decode` enumerates chunk files by directory glob):
 
-1. the PLAN — merge groups, their new keys, and the fully-computed new
-   manifest entries (sums of the constituents') — is journaled to
+1. the PLAN — merge groups, their new keys and file names, and the
+   constituents each new file supersedes — is journaled to
    `compaction_g{N}.json` BEFORE any file is touched;
-2. each merge task writes `<file>.ctmp`, renames to the final name
-   (invisible to decode until this instant: reads glob `*.parquet`),
-   then unlinks its constituents — the only non-atomic window is
-   between the rename and the unlinks, and the journal records exactly
-   which constituents every new file supersedes;
+2. each merge task writes its file through `mf.write_chunk_file`
+   (`<file>.tmp`, then a rename to the final name: invisible to decode
+   until this instant, reads glob `*.parquet`), then unlinks its
+   constituents and returns the merged file's entry — the only
+   non-atomic window is between the rename and the unlinks, and the
+   journal records exactly which constituents every new file
+   supersedes;
 3. the manifest rewrite (drop constituent entries, add merged ones,
    one `_compact.json` write) happens last; the journal is then marked
    completed.
 
 `repair_compaction` replays an incomplete journal: a group whose new
-file exists gets its constituents unlinked and its entry installed; a
+file exists is finished by `_merge_group` (constituents unlinked, its
+entry derived from the landed file's index columns and installed); a
 group whose new file is missing is rolled back (tmp removed, originals
 untouched). `compact_corpus` runs the repair first, so re-running
 compaction after any crash converges. After a compaction the original
@@ -74,30 +77,6 @@ def has_compaction(out_dir: str) -> bool:
     return bool(compaction_generations(out_dir))
 
 
-def _merged_entry(new_key: str, new_file: str, parts: list[dict]) -> dict:
-    codecs: dict[str, int] = {}
-    for e in parts:
-        for c, n in e.get("codecs", {}).items():
-            codecs[c] = codecs.get(c, 0) + n
-    entry = {
-        "part_key": new_key,
-        "file": new_file,
-        "status": "done",
-        "rows": sum(e["rows"] for e in parts),
-        "tokens": sum(e["tokens"] for e in parts),
-        "chunks": sum(e["chunks"] for e in parts),
-        "bytes_in": sum(e["bytes_in"] for e in parts),
-        "bytes_out": sum(e["bytes_out"] for e in parts),
-        "codecs": codecs,
-    }
-    # zone map only if every constituent has one (legacy pre-zone-map
-    # entries lack doc_min/doc_max; decode_select always scans those)
-    if all("doc_min" in e and "doc_max" in e for e in parts):
-        entry["doc_min"] = min(e["doc_min"] for e in parts)
-        entry["doc_max"] = max(e["doc_max"] for e in parts)
-    return entry
-
-
 def plan_compaction(out_dir: str, target_bytes: int = 512 << 20) -> dict:
     """Greedy per-source packing of completed bucket files into merge
     groups of ~target_bytes (encoded). Only groups of >= 2 files are
@@ -128,7 +107,6 @@ def plan_compaction(out_dir: str, target_bytes: int = 512 << 20) -> dict:
                         "new_file": new_file,
                         "old_keys": [e["part_key"] for e in pend],
                         "old_files": [e["file"] for e in pend],
-                        "entry": _merged_entry(new_key, new_file, pend),
                     }
                 )
                 seq += 1
@@ -143,39 +121,22 @@ def plan_compaction(out_dir: str, target_bytes: int = 512 << 20) -> dict:
     return {"generation": gen, "completed": False, "groups": groups}
 
 
-def write_rekeyed(chunks, path, key: str, tmp_suffix: str):
-    """Write chunk rows to `path` (tmp+rename) as part `key`: part_key
-    set and chunk_seq renumbered from 0, the only columns a merge or a
-    purge rewrites. Returns the rows written."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    n = chunks.num_rows
-    chunks = chunks.set_column(
-        chunks.schema.get_field_index("part_key"),
-        "part_key",
-        pa.array([key] * n, pa.string()),
-    )
-    chunks = chunks.set_column(
-        chunks.schema.get_field_index("chunk_seq"),
-        "chunk_seq",
-        pa.array(range(n), pa.int32()),
-    )
-    tmp = pathlib.Path(path).with_suffix(tmp_suffix)
-    pq.write_table(chunks, tmp, compression="none")
-    os.replace(tmp, path)
-    return chunks
-
-
-def _merge_group(old_paths: list, new_path, new_key: str) -> None:
+def _merge_group(old_paths: list, new_path, new_key: str) -> dict:
     """Concatenate one merge group's chunk files into `new_path` under
-    `new_key`, then unlink them. Chunk payload rows are independent;
-    only the identity columns (part_key, chunk_seq) are rewritten."""
+    `new_key`, then unlink them; returns the merged file's entry. Chunk
+    payload rows are independent, so only the identity columns
+    (part_key, chunk_seq) are rewritten. When `new_path` already exists
+    (a crashed compaction's landed file) only its index columns are
+    read for the entry."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     new_path = pathlib.Path(new_path)
-    if not new_path.exists():
+    if new_path.exists():
+        entry = mf.entry_from_chunks(
+            new_key, new_path.name, pq.read_table(new_path, columns=mf.ENTRY_COLUMNS)
+        )
+    else:
         tables = []
         for p in old_paths:
             if not os.path.exists(p):
@@ -185,22 +146,25 @@ def _merge_group(old_paths: list, new_path, new_key: str) -> None:
                 )
             tables.append(pq.read_table(p))
         t = pa.concat_tables(tables, promote_options="none")
-        write_rekeyed(t, new_path, new_key, ".parquet.ctmp")
+        entry = mf.write_chunk_file(t, new_path, new_key)
     for p in old_paths:
         if os.path.exists(p):
             os.unlink(p)
+    return entry
 
 
-def _install_manifest(out_dir: str, journal: dict) -> None:
+def _install_manifest(out_dir: str, groups: list, merged: list) -> None:
+    """Replace each group's constituent entries by its merged entry
+    (`merged[i]` is the entry of `groups[i]`'s new file)."""
     # sidecars snapshotted BEFORE the load: an entry a concurrent
     # append writes after this point survives consolidation and
     # overlays the new map on the next load (newest wins)
     sidecars = mf.manifest_sidecars(out_dir)
     entries = mf.load_manifest(out_dir)
-    for g in journal["groups"]:
+    for g, entry in zip(groups, merged):
         for k in g["old_keys"]:
             entries.pop(k, None)
-        entries[g["new_key"]] = g["entry"]
+        entries[g["new_key"]] = entry
     mf.consolidate_manifest(out_dir, entries, sidecars)
 
 
@@ -217,20 +181,18 @@ def repair_compaction(out_dir: str) -> dict | None:
     if journal.get("completed"):
         return None
     cdir = mf.chunks_dir(out_dir)
-    done_groups = []
+    done_groups, merged = [], []
     for g in journal["groups"]:
         new_path = cdir / g["new_file"]
-        tmp = new_path.with_suffix(".parquet.ctmp")
         if new_path.exists():
-            for f in g["old_files"]:
-                p = cdir / f
-                if p.exists():
-                    p.unlink()
+            merged.append(_merge_group([str(cdir / f) for f in g["old_files"]], new_path, g["new_key"]))
             done_groups.append(g)
-        elif tmp.exists():
-            tmp.unlink()
+        else:
+            # the tmp of a crashed write (`.ctmp` from earlier versions)
+            for tmp in cdir.glob(f"{g['new_file']}.*tmp"):
+                tmp.unlink()
     journal["groups"] = done_groups
-    _install_manifest(out_dir, journal)
+    _install_manifest(out_dir, done_groups, merged)
     journal["completed"] = True
     mf.write_json_atomic(jp, journal)
     return {"repaired_groups": len(done_groups)}
@@ -242,13 +204,9 @@ def _assert_corpus_complete(out_dir: str, bucket_plan: dict) -> None:
     destroy the part keys its resume needs, so a later resume would
     re-encode and silently duplicate rows (or, for the base encode, be
     refused with buckets permanently missing)."""
-    import json
-
-    from .encode_job import _append_generations, _append_plan_path
-
-    gens = _append_generations(out_dir)
+    gens = mf.append_generations(out_dir)
     if gens:
-        latest = json.loads(_append_plan_path(out_dir, gens[-1]).read_text())
+        latest = json.loads(mf.append_plan_path(out_dir, gens[-1]).read_text())
         if not latest.get("completed"):
             raise ValueError(
                 f"append generation g{gens[-1]} is incomplete — finish it "
@@ -282,10 +240,11 @@ def compact_corpus(out_dir: str, target_bytes: int = 512 << 20) -> dict:
     _, bucket_plan, _, config = mf.load_plan(out_dir)
     # guards corpora on disk: earlier versions could also write the
     # retired groupby and streaming modes
-    assert config["mode"] in ("bucketed", "bucketed_groupby"), (
-        "compaction requires a bucketed corpus (streaming outputs have no "
-        "per-bucket manifest entries to merge)"
-    )
+    if config["mode"] not in ("bucketed", "bucketed_groupby"):
+        raise ValueError(
+            "compaction requires a bucketed corpus (streaming outputs have no "
+            "per-bucket manifest entries to merge)"
+        )
     _assert_corpus_complete(out_dir, bucket_plan)
     repair_compaction(out_dir)
     journal = plan_compaction(out_dir, target_bytes=target_bytes)
@@ -296,14 +255,14 @@ def compact_corpus(out_dir: str, target_bytes: int = 512 << 20) -> dict:
 
     cdir = mf.chunks_dir(out_dir)
     groups = journal["groups"]
-    _, run = executor.map_files(
+    merged, run = executor.map_files(
         _merge_group,
         [[str(cdir / f) for f in g["old_files"]] for g in groups],
         [{"new_path": str(cdir / g["new_file"]), "new_key": g["new_key"]} for g in groups],
         rewrite=True,
     )
 
-    _install_manifest(out_dir, journal)
+    _install_manifest(out_dir, groups, merged)
     journal["completed"] = True
     mf.write_json_atomic(jp, journal)
     return {
@@ -322,8 +281,6 @@ def assert_readable(out_dir: str) -> None:
     files (selective decode would 404). Reads must refuse until the
     journal is replayed — `compact_corpus` repairs first, so running
     `python -m fsst_ray compact` (or `repair_compaction`) converges."""
-    import json
-
     gens = compaction_generations(out_dir)
     if not gens:
         return

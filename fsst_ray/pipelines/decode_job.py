@@ -8,6 +8,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..keyed import list_any
 from ..sources.tokens import TOKENS_SCHEMA
 from ..stages.decoder import dataset_checksum, decode_chunks_batch
 from ..state import manifest as mf
@@ -117,11 +118,7 @@ def find_hits(path, column: str, match) -> pa.Table:
     import pyarrow.parquet as pq
 
     index = pq.read_table(path, columns=["part_key", "chunk_seq", column])
-    col = index[column].combine_chunks()
-    parents = pc.list_parent_indices(col).to_numpy(zero_copy_only=False)
-    hit = match(pc.list_flatten(col)).to_numpy(zero_copy_only=False)
-    mask = np.zeros(index.num_rows, dtype=bool)
-    mask[parents[hit]] = True
+    mask = list_any(index[column], match(pc.list_flatten(index[column])))
     return index.select(["part_key", "chunk_seq"]).filter(pa.array(mask))
 
 
@@ -230,17 +227,7 @@ def decode_select(out_dir: str, doc_ids, stats: dict | None = None):
 
     assert_readable(out_dir)
     entries = mf.load_manifest(out_dir)
-
-    def _zone_may_hit(e: dict) -> bool:
-        if not wanted_sorted:
-            return False
-        dmin, dmax = e.get("doc_min"), e.get("doc_max")
-        if dmin is None or dmax is None:
-            return True
-        i = int(np.searchsorted(wanted_np, dmin, side="left"))
-        return i < len(wanted_np) and wanted_np[i] <= dmax
-
-    scan_entries = {k: e for k, e in entries.items() if _zone_may_hit(e)}
+    scan_entries = {k: e for k, e in entries.items() if mf.zone_may_hit(e, wanted_np)}
     match = functools.partial(_is_in, wanted=pa.array(wanted_sorted, pa.string()))
     return _pruned_decode(out_dir, entries, scan_entries, "doc_id", match, stats)
 

@@ -135,9 +135,6 @@ def encode_bucket(
     chunking, so the bytes depend only on the input and the plan.
     Returns the entry and the read, encode and write seconds."""
     import pyarrow.feather as feather
-    import pyarrow.parquet as pq
-
-    from ..stages.encoder import ENCODED_CHUNK_SCHEMA
 
     t0 = time.perf_counter()
     rows = pa.concat_tables([feather.read_table(f) for f in fragments])
@@ -160,32 +157,10 @@ def encode_bucket(
     # chunk gather inside encode copies the values once anyway
     chunks = encode_rows_to_chunks(rows, states, key, chunk_tokens, codecs, sort_keys=doc_ids)
     t2 = time.perf_counter()
-    cdir = mf.chunks_dir(out_dir)
-    cdir.mkdir(parents=True, exist_ok=True)
-    final = cdir / f"{mf.sanitize_part(key)}.parquet"
-    tmp = final.with_suffix(f".{os.getpid()}.tmp")
-    with pq.ParquetWriter(tmp, ENCODED_CHUNK_SCHEMA, compression="none") as writer:
-        writer.write_table(chunks)
-    os.replace(tmp, final)
+    entry = mf.write_chunk_file(
+        chunks, mf.chunks_dir(out_dir) / f"{mf.sanitize_part(key)}.parquet", key
+    )
     t3 = time.perf_counter()
-    codec_counts: dict[str, int] = {}
-    for c in chunks["codec"].to_pylist():
-        codec_counts[c] = codec_counts.get(c, 0) + 1
-    entry = {
-        "part_key": key,
-        "status": "done",
-        "chunks": chunks.num_rows,
-        "rows": rows.num_rows,
-        "tokens": int(pa.compute.sum(chunks["n_values"]).as_py() or 0),
-        "bytes_in": int(pa.compute.sum(chunks["bytes_in"]).as_py() or 0),
-        "bytes_out": int(pa.compute.sum(chunks["bytes_out"]).as_py() or 0),
-        "codecs": codec_counts,
-        "file": final.name,
-        # zone map for selective decode: decode_select prunes files
-        # whose doc_id range cannot hold a requested id
-        "doc_min": sd[0],
-        "doc_max": sd[-1],
-    }
     mf.write_part_entry(out_dir, entry)
     for f in fragments:
         os.unlink(f)
@@ -246,9 +221,8 @@ def encode_dataset(
                 "meaningful (appends still work: encode --append)"
             )
         states, bucket_plan, mass, saved_config = mf.load_plan(out_dir)
-        assert saved_config == config, (
-            f"resume config mismatch: {saved_config} != {config}"
-        )
+        if saved_config != config:
+            raise ValueError(f"resume config mismatch: {saved_config} != {config}")
     else:
         states, mass, pass1 = train_states(ds, input_path)
         bucket_plan = build_bucket_plan(mass, bucket_tokens)
@@ -315,21 +289,6 @@ def encode_dataset(
     return EncodeResult(out_dir, metrics, bucket_plan)
 
 
-def _append_plan_path(out_dir: str, gen: int):
-    return pathlib.Path(out_dir) / f"append_plan_g{gen}.json"
-
-
-def _append_generations(out_dir: str) -> list[int]:
-    import re
-
-    gens = []
-    for p in pathlib.Path(out_dir).glob("append_plan_g*.json"):
-        m = re.fullmatch(r"append_plan_g(\d+)\.json", p.name)
-        if m:
-            gens.append(int(m.group(1)))
-    return sorted(gens)
-
-
 def append_dataset(
     ds,
     out_dir: str,
@@ -341,7 +300,8 @@ def append_dataset(
     corpus without re-reading or re-writing any old data.
 
     - Codec states for sources already in the corpus are REUSED from
-      the saved plan — no retraining pass over old bytes, so the
+      the saved plans (`mf.corpus_states`: the base plan's and every
+      earlier generation's) — no retraining pass over old bytes, so the
       append costs O(appended bytes) regardless of corpus size.
     - Sources first seen in the appended data get states trained on
       the appended data alone.
@@ -359,43 +319,44 @@ def append_dataset(
     """
     import json
 
-    base_states, _, _, config = mf.load_plan(out_dir)
+    _, _, _, config = mf.load_plan(out_dir)
     # guards corpora on disk: earlier versions could also write the
     # retired groupby and streaming modes
-    assert config["mode"] in ("bucketed", "bucketed_groupby"), (
-        "append requires a bucketed base encode (streaming-mode outputs "
-        "are not resumable/extensible per-bucket)"
-    )
-    gens = _append_generations(out_dir)
+    if config["mode"] not in ("bucketed", "bucketed_groupby"):
+        raise ValueError(
+            "append requires a bucketed base encode (streaming-mode outputs "
+            "are not resumable/extensible per-bucket)"
+        )
+    gens = mf.append_generations(out_dir)
     latest = gens[-1] if gens else 0
     if resume and gens:
-        prev = json.loads(_append_plan_path(out_dir, latest).read_text())
+        prev = json.loads(mf.append_plan_path(out_dir, latest).read_text())
         if not prev.get("completed"):
             gen = latest  # resume the crashed generation
         else:
             gen = latest + 1  # nothing to resume: a fresh generation
     else:
         if gens:
-            prev = json.loads(_append_plan_path(out_dir, latest).read_text())
-            assert prev.get("completed"), (
-                f"append generation g{latest} is incomplete — rerun with "
-                "resume=True to finish it before starting a new append"
-            )
+            prev = json.loads(mf.append_plan_path(out_dir, latest).read_text())
+            if not prev.get("completed"):
+                raise ValueError(
+                    f"append generation g{latest} is incomplete — rerun with "
+                    "resume=True to finish it before starting a new append"
+                )
         gen = latest + 1
 
-    plan_file = _append_plan_path(out_dir, gen)
+    plan_file = mf.append_plan_path(out_dir, gen)
     # encode_dataset's own pass-1 timer covers only taking this plan
     t0 = time.perf_counter()
     if resume and plan_file.exists():
         states, bucket_plan, mass, saved_config = mf.load_plan(out_dir, path=plan_file)
-        assert saved_config == config, (
-            f"append resume config mismatch: {saved_config} != {config}"
-        )
+        if saved_config != config:
+            raise ValueError(f"append resume config mismatch: {saved_config} != {config}")
         pass1 = {"route": "resumed", "sources_trained": []}
     else:
         # pass 1 over the APPENDED data only: mass for every source,
         # training only for sources the corpus does not have yet
-        states, mass, pass1 = train_states(ds, input_path, base_states)
+        states, mass, pass1 = train_states(ds, input_path, mf.corpus_states(out_dir))
         bucket_plan = build_bucket_plan(mass, config["bucket_tokens"])
         mf.save_plan(
             out_dir, states, bucket_plan, mass, config,

@@ -48,9 +48,12 @@ import pyarrow as pa
 _DRIVER_READ_BYTES = 64 << 20
 
 # Rewrites (purge, compaction and pass 2's bucket encodes). Purge
-# decodes, filters and re-encodes each file, so it crosses first. Cold, it took 0.82 s in the driver against 0.93 s on
-# Ray at 29.7 MiB, and 3.23 against 1.81 s at 89.5 MiB, so it crosses
-# near 34 MiB. Compaction only concatenates chunk rows and crosses
+# crosses first. Measured when it decoded, filtered and re-encoded
+# every chunk of each zone-hit file: cold, it took 0.82 s in the driver
+# against 0.93 s on Ray at 29.7 MiB, and 3.23 against 1.81 s at
+# 89.5 MiB, so it crossed near 34 MiB. Purge now re-encodes only the
+# chunks that hold a dead row and copies the rest; the crossover was
+# not re-measured since. Compaction only concatenates chunk rows and crosses
 # near 220 MiB cold (0.55 against 1.00 s at 98 MiB, 1.37 against
 # 1.05 s at 311 MiB). Warm Ray tasks tied or beat the driver on both
 # jobs at every size from 0.1 MiB up. Pass 2's bucket encodes, timed as

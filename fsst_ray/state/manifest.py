@@ -6,6 +6,12 @@ Layout under an encode output directory:
     out_dir/manifest/<part>.json    one entry per encode bucket: status,
                                     counts, bytes, codec histogram, file
     out_dir/chunks/<part>.parquet   the encoded chunks (atomic rename)
+    out_dir/append_plan_g<N>.json   append generation N's plan: states of
+                                    the sources it trained, its buckets
+
+Every chunk file is written by `write_chunk_file`, and every entry is
+`entry_from_chunks` of its file's index columns, so an entry always
+describes the bytes on disk, whichever job wrote them.
 
 A rerun with resume=True loads _plan.json (skipping pass 1), drops rows
 of completed partitions before the shuffle, and re-encodes only the
@@ -19,6 +25,12 @@ import base64
 import json
 import os
 import pathlib
+import re
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 
 def sanitize_part(part_key: str) -> str:
@@ -68,6 +80,104 @@ def load_plan(out_dir: str, path=None):
         for s, st in obj["states"].items()
     }
     return states, obj["bucket_plan"], obj["mass"], obj["config"]
+
+
+def append_plan_path(out_dir: str, gen: int) -> pathlib.Path:
+    return pathlib.Path(out_dir) / f"append_plan_g{gen}.json"
+
+
+def append_generations(out_dir: str) -> list[int]:
+    gens = []
+    for p in pathlib.Path(out_dir).glob("append_plan_g*.json"):
+        m = re.fullmatch(r"append_plan_g(\d+)\.json", p.name)
+        if m:
+            gens.append(int(m.group(1)))
+    return sorted(gens)
+
+
+def corpus_states(out_dir: str) -> dict:
+    """The corpus's codec states: the base plan's, overlaid with every
+    append generation's in order. A source first seen in an append
+    exists only in that generation's plan file; later appends and
+    purges encode it with that table."""
+    states, _, _, _ = load_plan(out_dir)
+    states = dict(states)
+    for gen in append_generations(out_dir):
+        gstates, _, _, _ = load_plan(out_dir, path=append_plan_path(out_dir, gen))
+        for src, st in gstates.items():
+            states.setdefault(src, st)
+    return states
+
+
+# the chunk-file columns an entry is derived from (no payload)
+ENTRY_COLUMNS = ["n_rows", "n_values", "bytes_in", "bytes_out", "codec", "doc_id"]
+
+
+def entry_from_chunks(key: str, file: str, chunks) -> dict:
+    """The manifest entry of chunk file `file` holding `chunks` (any
+    table with the ENTRY_COLUMNS) as part `key`. `doc_min`/`doc_max` is
+    the file's doc-id zone map for selective decode; an emptied file
+    gets "" for both (below any real doc_id, so it never hits), since
+    absent fields mean always-scan."""
+    def total(name):
+        return int(pc.sum(chunks[name]).as_py() or 0)
+
+    codecs: dict[str, int] = {}
+    for c in chunks["codec"].to_pylist():
+        codecs[c] = codecs.get(c, 0) + 1
+    doc_lists = chunks["doc_id"]
+    if isinstance(doc_lists, pa.ChunkedArray):
+        doc_lists = doc_lists.combine_chunks()
+    flat = doc_lists.flatten()
+    mm = pc.min_max(flat) if len(flat) else None
+    return {
+        "part_key": key,
+        "file": file,
+        "status": "done",
+        "rows": total("n_rows"),
+        "chunks": chunks.num_rows,
+        "tokens": total("n_values"),
+        "bytes_in": total("bytes_in"),
+        "bytes_out": total("bytes_out"),
+        "codecs": codecs,
+        "doc_min": mm["min"].as_py() if mm else "",
+        "doc_max": mm["max"].as_py() if mm else "",
+    }
+
+
+def write_chunk_file(chunks, path, key: str) -> dict:
+    """Write chunk rows to `path` as part `key` and return its entry:
+    the one chunk-file writer of encode, purge and compaction. Sets
+    `part_key`, renumbers `chunk_seq` from 0 and writes uncompressed
+    parquet through `<file>.tmp` and a rename, so a reader sees the old
+    file or the new one, never a partial one."""
+    path = pathlib.Path(path)
+    n = chunks.num_rows
+    chunks = chunks.set_column(
+        chunks.schema.get_field_index("part_key"), "part_key", pa.array([key] * n, pa.string())
+    )
+    chunks = chunks.set_column(
+        chunks.schema.get_field_index("chunk_seq"), "chunk_seq", pa.array(range(n), pa.int32())
+    )
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    pq.write_table(chunks, tmp, compression="none")
+    os.replace(tmp, path)
+    return entry_from_chunks(key, path.name, chunks)
+
+
+def zone_may_hit(entry: dict, wanted_sorted) -> bool:
+    """Whether the file of `entry` can hold an id of `wanted_sorted` (a
+    sorted array of doc ids) by its [doc_min, doc_max] zone map. An
+    entry without zone fields may hold any id; an empty request hits
+    nothing."""
+    if len(wanted_sorted) == 0:
+        return False
+    dmin, dmax = entry.get("doc_min"), entry.get("doc_max")
+    if dmin is None or dmax is None:
+        return True
+    i = int(np.searchsorted(wanted_sorted, dmin, side="left"))
+    return i < len(wanted_sorted) and wanted_sorted[i] <= dmax
 
 
 def write_part_entry(out_dir: str, entry: dict) -> None:
@@ -161,8 +271,6 @@ def summarize_by_source(entries: dict[str, dict]) -> dict[str, dict]:
     '{source}:[g{N}-|c{N}-]{bucket}'), including how many append
     generations / compactions the source's files span — the operational
     signal for when to run `compact`."""
-    import re
-
     out: dict[str, dict] = {}
     for key, entry in entries.items():
         src, _, rest = key.partition(":")

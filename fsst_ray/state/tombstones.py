@@ -19,19 +19,21 @@ Contract:
   rows are deleted — the corpus no longer equals that input. The
   driver query compares against the SQL-filtered oracle instead.
 
-`purge_deletes` materializes the deletions: bucket files whose zone
-range can contain a tombstoned id are decoded, filtered and re-encoded
-with the corpus's saved per-source states (base plan overlaid with
-every append generation's, so append-trained sources keep their
-symbol tables). It refuses on an incomplete corpus (an orphan file not
-yet in the manifest would silently resurrect its deleted rows when the
-tombstones clear) and is CRASH-CONVERGENT without a journal: every
-zone-hit file's manifest entry is recomputed from the file's CURRENT
-content on every run, so a rerun after any interruption lands on the
-same final state. Files that cannot contain a deleted id are never
-touched. Each zone-hit file is one `_purge_file` call through the
-per-file executor (pipelines/executor.py): in the driver at or below
-its rewrite bound, one Ray task per file above it.
+`purge_deletes` materializes the deletions: in each bucket file whose
+zone range can contain a tombstoned id, the chunks whose `doc_id` index
+list holds one are decoded, filtered and re-encoded with the corpus's
+saved per-source states (`mf.corpus_states`: the base plan overlaid
+with every append generation's, so append-trained sources keep their
+symbol tables); the file's other chunk rows are copied as they are. It
+refuses on an incomplete corpus (an orphan file not yet in the manifest
+would silently resurrect its deleted rows when the tombstones clear)
+and is CRASH-CONVERGENT without a journal: every zone-hit file's
+manifest entry is derived from the file's CURRENT content on every
+run, so a rerun after any interruption lands on the same final state.
+Files that cannot contain a deleted id are never touched. Each zone-hit
+file is one `_purge_file` call through the per-file executor
+(pipelines/executor.py): in the driver at or below its rewrite bound,
+one Ray task per file above it.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ import pathlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..keyed import sorted_isin
+from ..keyed import list_any, sorted_isin
 from . import manifest as mf
 
 
@@ -102,106 +105,71 @@ def drop_dead(rows: pa.Table, dead: np.ndarray) -> pa.Table:
     return rows.filter(pa.array(~sorted_isin(dead, ids)))
 
 
-def _all_states(out_dir: str) -> dict:
-    """Base-plan codec states overlaid with every append generation's —
-    sources first seen in an append exist ONLY in that generation's
-    plan file, and re-encoding them without their symbol table would
-    silently fall back to a worse codec."""
-    from ..pipelines.encode_job import _append_generations, _append_plan_path
-
-    base_states, _, _, _ = mf.load_plan(out_dir)
-    states = dict(base_states)
-    for gen in _append_generations(out_dir):
-        gstates, _, _, _ = mf.load_plan(
-            out_dir, path=_append_plan_path(out_dir, gen)
-        )
-        for src, st in gstates.items():
-            states.setdefault(src, st)
-    return states
-
-
-def _entry_from_chunks(key: str, old: dict, chunks: pa.Table) -> dict:
-    """Recompute a manifest entry from a file's chunk rows (the
-    crash-convergence primitive: entries always reflect on-disk
-    content)."""
-    new_e = dict(old)
-    new_e.update(
-        rows=int(pa.compute.sum(chunks["n_rows"]).as_py() or 0),
-        chunks=chunks.num_rows,
-        tokens=int(pa.compute.sum(chunks["n_values"]).as_py() or 0),
-        bytes_in=int(pa.compute.sum(chunks["bytes_in"]).as_py() or 0),
-        bytes_out=int(pa.compute.sum(chunks["bytes_out"]).as_py() or 0),
-        codecs={},
-    )
-    for c in chunks["codec"].to_pylist():
-        new_e["codecs"][c] = new_e["codecs"].get(c, 0) + 1
-    if "doc_min" in old:
-        doc_lists = chunks["doc_id"]
-        flat = (
-            doc_lists.combine_chunks()
-            if isinstance(doc_lists, pa.ChunkedArray)
-            else doc_lists
-        ).flatten()
-        if len(flat):
-            mm = pa.compute.min_max(flat)
-            new_e["doc_min"] = mm["min"].as_py()
-            new_e["doc_max"] = mm["max"].as_py()
-        else:
-            # emptied file: "" (below any real doc_id) is the explicit
-            # NEVER-HIT zone — absent fields mean always-scan, and the
-            # stale range would keep attracting pointless decodes
-            new_e["doc_min"] = new_e["doc_max"] = ""
-    return new_e
-
-
-def _purge_file(path, key, entry, dead, states, chunk_tokens, codecs) -> dict:
-    """Purge one zone-hit chunk file: decode, drop the ids in `dead`,
-    re-encode with `states` and replace the file (tmp+rename). Returns
-    the file's result row: its key, its manifest entry recomputed from
-    the file's current content, the rows purged and the action taken
+def _purge_file(path, key, dead, states, chunk_tokens, codecs) -> dict:
+    """Purge one zone-hit chunk file. The chunks whose `doc_id` index
+    list holds an id in `dead` are decoded, their dead rows dropped and
+    the survivors re-encoded with `states`, in doc-id order; every
+    other chunk row is copied as it is (a payload carries its own
+    symbol table). The copied rows and the re-encoded ones replace the
+    file through `mf.write_chunk_file`. Returns the file's result row:
+    its key, its manifest entry derived from the file's current
+    content, the rows purged, the chunks decoded and the action taken
     ("rewrite", or "refresh" when no row was dead)."""
     import pyarrow.parquet as pq
 
-    from ..pipelines.compact_job import write_rekeyed
     from ..stages.decoder import decode_chunks_batch
     from ..stages.encoder import encode_rows_to_chunks
 
+    file = pathlib.Path(path).name
     raw = pq.read_table(path)
-    rows = decode_chunks_batch(raw)
-    hit = sorted_isin(dead, rows["doc_id"].to_numpy(zero_copy_only=False))
+    doc_lists = raw["doc_id"]
+    ids = pc.list_flatten(doc_lists).to_numpy(zero_copy_only=False)
+    dead_ids = sorted_isin(dead, ids)
+    hit = list_any(doc_lists, dead_ids)
     if not hit.any():
         # crash convergence: a prior interrupted purge may have
-        # rewritten this file without updating its entry — recompute
+        # rewritten this file without updating its entry — derive it
         # from current content either way
-        entry = _entry_from_chunks(key, entry, raw)
-        return {"key": key, "entry": entry, "purged": 0, "action": "refresh"}
-    keep = rows.filter(pa.array(~hit))
-    if keep.num_rows == 0:
-        # every row tombstoned: the file becomes an EMPTY chunk file
-        # (schema preserved via slice(0)) rather than being unlinked —
-        # the part key stays in the manifest so the corpus-completeness
-        # invariant holds for resume/compact, and the tmp+rename keeps
-        # this path crash-convergent
-        chunks = raw.slice(0, 0)
-    else:
-        chunks = encode_rows_to_chunks(keep, states, None, chunk_tokens, codecs)
-    chunks = write_rekeyed(chunks, path, key, ".parquet.tmp")
-    entry = _entry_from_chunks(key, entry, chunks)
-    return {"key": key, "entry": entry, "purged": int(hit.sum()), "action": "rewrite"}
+        entry = mf.entry_from_chunks(key, file, raw)
+        return {"key": key, "entry": entry, "purged": 0, "chunks_decoded": 0, "action": "refresh"}
+    # decoded rows follow the hit chunks' flattened doc_id lists
+    in_hit = np.repeat(hit, pc.list_value_length(doc_lists).to_numpy(zero_copy_only=False))
+    live = ~dead_ids[in_hit]
+    keep = decode_chunks_batch(raw.filter(pa.array(hit))).filter(pa.array(live))
+    # a fully tombstoned file becomes an EMPTY chunk file (schema kept)
+    # rather than being unlinked: the part key stays in the manifest,
+    # so the corpus-completeness invariant holds for resume/compact
+    chunks = [raw.filter(pa.array(~hit))]
+    if keep.num_rows:
+        chunks.append(
+            encode_rows_to_chunks(
+                keep, states, key, chunk_tokens, codecs, sort_keys=ids[in_hit][live]
+            )
+        )
+    entry = mf.write_chunk_file(pa.concat_tables(chunks), path, key)
+    return {
+        "key": key,
+        "entry": entry,
+        "purged": int(dead_ids.sum()),
+        "chunks_decoded": int(hit.sum()),
+        "action": "rewrite",
+    }
 
 
 def purge_deletes(out_dir: str) -> dict:
     """Materialize tombstones (see module docstring): zone-pruned
-    per-file decode -> filter -> re-encode (`_purge_file`, run by the
-    per-file executor: in the driver when the zone-hit files total at
-    most its bound on disk, one Ray task per file above it); a fully
-    tombstoned file becomes an EMPTY chunk file (its part key stays in
-    the manifest, preserving the corpus-completeness invariant, and the
-    tmp+rename keeps the path crash-convergent); entries of every
-    zone-hit file are recomputed from current content. Only the delete
-    batches snapshotted at the start are cleared — a concurrent
-    delete_docs landing mid-purge survives for the next one. Returns
-    counts and the `executor` that ran the rewrite."""
+    victim files (`mf.zone_may_hit`), and in each only the chunks that
+    hold a dead id are decoded, filtered and re-encoded (`_purge_file`,
+    run by the per-file executor: in the driver when the zone-hit files
+    total at most its bound on disk, one Ray task per file above it); a
+    fully tombstoned file becomes an EMPTY chunk file (its part key
+    stays in the manifest, preserving the corpus-completeness
+    invariant, and the tmp+rename keeps the path crash-convergent);
+    entries of every zone-hit file are derived from current content.
+    Only the delete batches snapshotted at the start are cleared — a
+    concurrent delete_docs landing mid-purge survives for the next one.
+    Returns counts (rows purged, files rewritten, chunks decoded) and
+    the `executor` that ran the rewrite."""
     from ..pipelines import executor
     from ..pipelines.compact_job import _assert_corpus_complete, assert_readable
 
@@ -224,14 +192,7 @@ def purge_deletes(out_dir: str) -> dict:
     entries = mf.load_manifest(out_dir)
     cdir = mf.chunks_dir(out_dir)
 
-    def may_hit(e: dict) -> bool:
-        dmin, dmax = e.get("doc_min"), e.get("doc_max")
-        if dmin is None or dmax is None:
-            return True
-        i = int(np.searchsorted(dead, dmin, side="left"))
-        return i < len(dead) and dead[i] <= dmax
-
-    victims = {k: e for k, e in sorted(entries.items()) if may_hit(e)}
+    victims = {k: e for k, e in sorted(entries.items()) if mf.zone_may_hit(e, dead)}
     if not victims:
         for f in batch_files:
             f.unlink(missing_ok=True)
@@ -239,10 +200,10 @@ def purge_deletes(out_dir: str) -> dict:
     results, run = executor.map_files(
         _purge_file,
         [str(cdir / e["file"]) for e in victims.values()],
-        [{"key": k, "entry": e} for k, e in victims.items()],
+        [{"key": k} for k in victims],
         rewrite=True,
         dead=dead,
-        states=_all_states(out_dir),
+        states=mf.corpus_states(out_dir),
         chunk_tokens=config["chunk_tokens"],
         codecs=tuple(config["codecs"]),
     )
@@ -254,6 +215,7 @@ def purge_deletes(out_dir: str) -> dict:
     return {
         "purged_rows": sum(r["purged"] for r in results),
         "files_rewritten": sum(r["action"] == "rewrite" for r in results),
+        "chunks_decoded": sum(r["chunks_decoded"] for r in results),
         "executor": run["executor"],
     }
 
@@ -267,9 +229,7 @@ def _upsert_intent(out_dir: str) -> pathlib.Path:
 
 
 def _latest_generation(out_dir: str) -> int:
-    from ..pipelines.encode_job import _append_generations
-
-    gens = _append_generations(out_dir)
+    gens = mf.append_generations(out_dir)
     return gens[-1] if gens else 0
 
 
@@ -355,15 +315,15 @@ def resume_upsert(out_dir: str) -> dict | None:
     staging = _upsert_dir(out_dir) / "staging"
     staged = rd.read_parquet(str(staging))
 
-    from ..pipelines.encode_job import _append_generations, _append_plan_path, append_dataset
+    from ..pipelines.encode_job import append_dataset
 
-    gens = [g for g in _append_generations(out_dir) if g > base_gen]
+    gens = [g for g in mf.append_generations(out_dir) if g > base_gen]
     no_purge = {"purged_rows": 0, "files_rewritten": 0}
     if gens:
         # delete+purge finished before the append started (sequential
         # phases); never re-delete here — the new generation may hold
         # the replacement rows and a fresh tombstone would hide them
-        plan = json.loads(_append_plan_path(out_dir, gens[-1]).read_text())
+        plan = json.loads(mf.append_plan_path(out_dir, gens[-1]).read_text())
         if plan.get("completed"):
 
             class _Done:  # append landed; only the journal is stale

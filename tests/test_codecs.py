@@ -144,6 +144,20 @@ def test_selection_preferences(fsst_state):
     assert est["zigzag"] < float("inf") and est["bitpack"] == float("inf")
 
 
+def test_encode_chunk_never_larger_than_plain(fsst_state):
+    """A chunk unlike its source's training sample is mispriced by the
+    FSST estimate (here select picks fsst for highbyte values under the
+    zipf-trained table); the encoded chunk falls back to plain."""
+    values = CASES["highbyte"]
+    name, _ = select_codec(values, fsst_state)
+    assert name == "fsst"
+    assert len(codecs.CODEC_BY_NAME["fsst"].encode(values, fsst_state)) > 10 + 4 * len(values)
+    payload, meta = encode_chunk(values, fsst_state)
+    assert meta["codec"] == "plain"
+    assert len(payload) == meta["bytes_out"] == 10 + 4 * len(values)
+    assert np.array_equal(decode_payload(payload), values)
+
+
 def test_encode_chunk_meta(fsst_state):
     payload, meta = encode_chunk(CASES["runs"], fsst_state)
     assert meta["codec"] == "rle"

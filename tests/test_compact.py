@@ -9,6 +9,8 @@ import pathlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import pytest
 
 from fsst_ray import (
@@ -107,7 +109,6 @@ def test_compact_crash_recovery(tokens_full, tmp_path, ray_session):
     # group 0: fully merged but constituents NOT unlinked (crash window)
     g0 = journal["groups"][0]
     cdir = mf.chunks_dir(out)
-    import pyarrow.parquet as pq
 
     tables = [pq.read_table(cdir / f) for f in g0["old_files"]]
     t = pa.concat_tables(tables, promote_options="none")
@@ -122,16 +123,19 @@ def test_compact_crash_recovery(tokens_full, tmp_path, ray_session):
         pa.array(range(t.num_rows), pa.int32()),
     )
     pq.write_table(t, cdir / g0["new_file"], compression="none")
-    # group 1: crashed mid-write, tmp left behind
+    # group 1: crashed mid-write, tmp left behind (this version's
+    # `<file>.tmp` and an earlier version's `.ctmp`)
     g1 = journal["groups"][1]
-    (cdir / g1["new_file"]).with_suffix(".parquet.ctmp").write_bytes(b"partial")
+    tmps = [cdir / (g1["new_file"] + ".tmp"), (cdir / g1["new_file"]).with_suffix(".parquet.ctmp")]
+    for tmp in tmps:
+        tmp.write_bytes(b"partial")
 
     rep = repair_compaction(out)
     assert rep == {"repaired_groups": 1}
     # g0 constituents gone, g1 rolled back (originals intact, tmp gone)
     assert not any((cdir / f).exists() for f in g0["old_files"])
     assert all((cdir / f).exists() for f in g1["old_files"])
-    assert not (cdir / g1["new_file"]).with_suffix(".parquet.ctmp").exists()
+    assert not any(tmp.exists() for tmp in tmps)
     assert json.loads(jp.read_text())["completed"]
 
     after = verify_roundtrip(full_ds, out)
@@ -229,7 +233,8 @@ def test_summarize_by_source_generations(tokens_full, tmp_path, ray_session):
 
 def test_compact_legacy_entries_without_zone_maps(tokens_full, tmp_path, ray_session):
     """Pre-zone-map manifests (no doc_min/doc_max) must still compact;
-    the merged entry simply omits the zone fields (always-scan)."""
+    the merged entry is derived from the merged file, so it gains the
+    zone map of its rows."""
     out, full_ds = _build_fragmented(tokens_full, tmp_path, "enc_c6")
     entries = mf.load_manifest(out)
     for e in entries.values():
@@ -245,7 +250,11 @@ def test_compact_legacy_entries_without_zone_maps(tokens_full, tmp_path, ray_ses
     merged = {
         k: e for k, e in mf.load_manifest(out).items() if ":c1-" in k
     }
-    assert merged and all("doc_min" not in e for e in merged.values())
+    assert merged
+    for e in merged.values():
+        ids = pq.read_table(mf.chunks_dir(out) / e["file"], columns=["doc_id"])["doc_id"]
+        flat = ids.combine_chunks().flatten().to_pylist()
+        assert (e["doc_min"], e["doc_max"]) == (min(flat), max(flat))
     assert verify_roundtrip(full_ds, out)["match"]
 
 
@@ -256,7 +265,6 @@ def test_compact_refuses_crashed_append(tokens_full, tmp_path, ray_session):
     import ray.data as rd
 
     from fsst_ray import append_dataset
-    from fsst_ray.pipelines.encode_job import _append_plan_path
 
     idx = np.arange(tokens_full.num_rows)
     half_a = tokens_full.take(pa.array(idx[idx % 2 == 0]))
@@ -267,9 +275,9 @@ def test_compact_refuses_crashed_append(tokens_full, tmp_path, ray_session):
     )
     append_dataset(rd.from_arrow(half_b), out)
     # simulate a crashed append: mark the latest plan incomplete
-    plan = json.loads(_append_plan_path(out, 1).read_text())
+    plan = json.loads(mf.append_plan_path(out, 1).read_text())
     plan["completed"] = False
-    mf.write_json_atomic(_append_plan_path(out, 1), plan)
+    mf.write_json_atomic(mf.append_plan_path(out, 1), plan)
 
     with pytest.raises(ValueError, match="append generation g1 is incomplete"):
         compact_corpus(out, target_bytes=512 << 20)
@@ -313,7 +321,6 @@ def test_reads_refused_during_interrupted_compaction(
     # crash window: merged file landed, constituents NOT unlinked
     g0 = journal["groups"][0]
     cdir = mf.chunks_dir(out)
-    import pyarrow.parquet as pq
 
     t = pa.concat_tables(
         [pq.read_table(cdir / f) for f in g0["old_files"]], promote_options="none"
@@ -373,3 +380,61 @@ def test_generation_of_key_parsing():
     assert generation_of_key("english:g12-00000") == 12
     with pytest.raises(ValueError, match="compacted"):
         generation_of_key("english:c1-00003")
+
+
+def _assert_entries_match_files(out) -> None:
+    """Every manifest entry is `entry_from_chunks` of its chunk file,
+    and every chunk file has one entry whose key its rows carry."""
+    entries = mf.load_manifest(out)
+    cdir = mf.chunks_dir(out)
+    assert sorted(e["file"] for e in entries.values()) == sorted(
+        f.name for f in cdir.glob("*.parquet")
+    )
+    for key, e in entries.items():
+        chunks = pq.read_table(cdir / e["file"])
+        assert e == mf.entry_from_chunks(key, e["file"], chunks), key
+        assert set(chunks["part_key"].to_pylist()) <= {key}
+        assert chunks["chunk_seq"].to_pylist() == list(range(chunks.num_rows))
+
+
+def test_manifest_entries_match_chunk_files(tokens_full, tmp_path, ray_session):
+    """Encode, append, delete+purge, compact and a repaired compaction
+    all leave entries equal to what their files hold."""
+    import ray.data as rd
+
+    from fsst_ray import append_dataset, delete_docs, purge_deletes
+
+    out, _ = _build_fragmented(tokens_full, tmp_path, "enc_entries")
+    _assert_entries_match_files(out)
+
+    # one dead id: every file whose zone range spans it is visited, only
+    # the one holding it is rewritten, the others only get their entry
+    victim = sorted(i for i in tokens_full["doc_id"].to_pylist() if i.startswith("english"))[3]
+    spans = [
+        e for e in mf.load_manifest(out).values() if e["doc_min"] <= victim <= e["doc_max"]
+    ]
+    assert len(spans) >= 2
+    delete_docs(out, [victim])
+    res = purge_deletes(out)
+    assert res["purged_rows"] == 1 and res["files_rewritten"] == 1
+    _assert_entries_match_files(out)
+
+    assert compact_corpus(out, target_bytes=512 << 20)["groups"] >= 1
+    _assert_entries_match_files(out)
+
+    # crash after one merge group landed, before the manifest install
+    more = tokens_full.set_column(
+        tokens_full.schema.get_field_index("doc_id"),
+        "doc_id",
+        pc.binary_join_element_wise("x-", tokens_full["doc_id"], ""),
+    )
+    append_dataset(rd.from_arrow(more), out)
+    journal = plan_compaction(out, target_bytes=512 << 20)
+    assert len(journal["groups"]) >= 2
+    mf.write_json_atomic(pathlib.Path(out) / f"compaction_g{journal['generation']}.json", journal)
+    cdir = mf.chunks_dir(out)
+    g0 = journal["groups"][0]
+    _merge_group([str(cdir / f) for f in g0["old_files"]], cdir / g0["new_file"], g0["new_key"])
+    assert repair_compaction(out) == {"repaired_groups": 1}
+    _assert_entries_match_files(out)
+    assert all("entry" not in g for g in journal["groups"])

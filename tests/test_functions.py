@@ -1918,7 +1918,7 @@ def _bm25_reference(texts, doc_ids, queries, k):
     """Pure-python BM25 mirror (same quantization) for parity tests."""
     import math
 
-    words = [t.split(" ") for t in texts]
+    words = [t.split(" ") if t is not None else [] for t in texts]
     n = len(words)
     dl = [len(w) for w in words]
     avgdl = float(sum(dl)) / float(n)
@@ -1970,6 +1970,30 @@ def test_bm25_topk_matches_reference_across_blocks(ray_session):
     for q, rows in want.items():
         sub = got[got["query_id"] == q]
         assert list(zip(sub["rnk"], sub["doc_id"], sub["score"])) == rows
+
+
+def test_bm25_topk_null_text_has_no_words(ray_session):
+    """A null text is a document with no words (dl 0, no term hits) in
+    both passes' np.repeat by split lengths: it never shifts the words
+    of the rows after it, at block edges included."""
+    import ray.data as rd
+
+    from fsst_ray.functions.search import bm25_topk
+
+    vocab = ["hash", "join", "scan", "sort"]
+    texts = [
+        None if i % 5 in (0, 3) else " ".join(vocab[(i + j) % 4] for j in range(1 + i % 4))
+        for i in range(40)
+    ]
+    doc_ids = list(range(500, 540))
+    tbl = pa.table({"doc_id": pa.array(doc_ids, pa.int64()), "text": pa.array(texts, pa.string())})
+    queries = {0: ["hash"], 1: ["sort", "scan"]}
+    for blocks in (1, 4, 7):
+        got = bm25_topk(rd.from_arrow(tbl).repartition(blocks), queries, k=40).to_pandas()
+        got = got.sort_values(["query_id", "rnk"])
+        for q, rows in _bm25_reference(texts, doc_ids, queries, 40).items():
+            sub = got[got["query_id"] == q]
+            assert list(zip(sub["rnk"], sub["doc_id"], sub["score"])) == rows, blocks
 
 
 def test_bm25_topk_absent_term_and_tie_determinism(ray_session):

@@ -273,3 +273,12 @@ def test_ngram_span_dedup_cap(ray_session):
     )
     with pytest.raises(ValueError, match="max_dup_occurrences"):
         ngram_span_dedup(rd.from_arrow(t), k=3, max_dup_occurrences=5)
+
+
+def test_byte_matrix_refuses_nulls():
+    """A null value has no edit distance to anything: `_byte_matrix`
+    refuses it before its np.repeat by value lengths."""
+    with pytest.raises(ValueError, match="null values are not comparable"):
+        _byte_matrix(pa.array(["ab", None, "cd"]))
+    with pytest.raises(ValueError, match="null values are not comparable"):
+        _byte_matrix(pa.chunked_array([["ab"], [None]]))

@@ -165,3 +165,24 @@ def test_plan_bounded_dispatch(built, ray_session):
     d, _ = built
     plan = str(index_stats(d).__repr__())
     assert "Sort" not in plan and "Aggregate" not in plan
+
+
+def test_distinct_pairs_null_text_has_no_words():
+    """A null text adds no (term, doc) pair and does not shift the
+    words of the rows after it (np.repeat by the split lengths), also
+    at the batch edges and in a sliced batch."""
+    from fsst_ray.functions.invindex import _distinct_pairs
+
+    tbl = pa.table(
+        {
+            "doc_id": pa.array([10, 11, 12, 13, 14, 15], pa.int64()),
+            "text": pa.array([None, "a b a", None, "b c", "", None]),
+        }
+    )
+    for t in (tbl, tbl.slice(1), tbl.slice(2, 3)):
+        got = _distinct_pairs(t)
+        pairs = sorted(zip(got["doc_id"].to_pylist(), got["term"].to_pylist()))
+        live = [(d, x) for d, x in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()) if x is not None]
+        want = sorted({(d, w) for d, x in live for w in x.split(" ")})
+        assert pairs == want
+    assert _distinct_pairs(tbl.slice(5)).num_rows == 0

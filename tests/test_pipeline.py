@@ -997,7 +997,6 @@ def test_append_dataset_incremental_ingest(tokens_ds, tmp_path):
     import ray.data as rd
 
     from fsst_ray import append_dataset, decode_select
-    from fsst_ray.pipelines.encode_job import _append_plan_path
 
     full = pa.concat_tables(
         pa.table(b) for b in tokens_ds.iter_batches(batch_format="pyarrow")
@@ -1042,9 +1041,9 @@ def test_append_dataset_incremental_ingest(tokens_ds, tmp_path):
     assert new_files and all("g1-" in n for n in new_files), new_files
 
     # states reused for known sources; new source got its own
-    sidecar = json.loads(_append_plan_path(out, 1).read_text())
+    sidecar = json.loads(mf.append_plan_path(out, 1).read_text())
     assert sidecar["completed"] is True
-    app_states, _, _, _ = mf.load_plan(out, path=_append_plan_path(out, 1))
+    app_states, _, _, _ = mf.load_plan(out, path=mf.append_plan_path(out, 1))
     for src, st in app_states.items():
         if src in base_states:
             assert st["fsst"] == base_states[src]["fsst"], src
@@ -1071,11 +1070,51 @@ def test_append_dataset_incremental_ingest(tokens_ds, tmp_path):
     # an incomplete generation blocks a fresh append but resumes
     mf.save_plan(
         out, app_states, {}, {}, sidecar["config"],
-        path=_append_plan_path(out, 2),
+        path=mf.append_plan_path(out, 2),
         extra={"generation": 2, "completed": False},
     )
-    with pytest.raises(AssertionError, match="incomplete"):
+    with pytest.raises(ValueError, match="incomplete"):
         append_dataset(rd.from_arrow(half_b.slice(0, 4)), out)
+
+
+def test_append_reuses_states_trained_by_earlier_appends(ray_session, tmp_path):
+    """A source first seen in append g1 is trained there; append g2 of
+    more of its rows trains nothing and encodes with g1's table."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from fsst_ray import append_dataset
+
+    src = tokens_table(SCALE)
+    eng = src.filter(pc.equal(src["source"], "english"))
+
+    def as_source(t, name, prefix):
+        t = t.set_column(t.schema.get_field_index("source"), "source", pa.array([name] * t.num_rows))
+        ids = pc.binary_join_element_wise(prefix, t["doc_id"], "")
+        return t.set_column(t.schema.get_field_index("doc_id"), "doc_id", ids)
+
+    out = str(tmp_path / "enc_states")
+    # plain or fsst only, so B's chunks show which table encoded them
+    encode_dataset(
+        rd.from_arrow(as_source(eng.slice(0, 40), "A", "a-")), out,
+        chunk_tokens=1 << 14, bucket_tokens=1 << 15, codecs=("plain", "fsst"),
+    )
+    g1 = append_dataset(rd.from_arrow(as_source(eng.slice(40, 80), "B", "b1-")), out)
+    assert g1.metrics["pass1"]["sources_trained"] == ["B"]
+    blob = mf.load_plan(out, path=mf.append_plan_path(out, 1))[0]["B"]["fsst"]
+    assert mf.corpus_states(out)["B"]["fsst"] == blob
+
+    g2 = append_dataset(rd.from_arrow(as_source(eng.slice(120, 80), "B", "b2-")), out)
+    assert g2.metrics["pass1"]["sources_trained"] == []
+    payloads = [
+        p
+        for f in mf.chunks_dir(out).glob("B_g2-*.parquet")
+        for c, p in zip(*pq.read_table(f, columns=["codec", "payload"]).to_pydict().values())
+        if c == "fsst"
+    ]
+    # an fsst payload: 10-byte frame, u32 state length, the state blob
+    assert payloads and all(p[14 : 14 + len(blob)] == blob for p in payloads)
 
 
 def test_append_resume_finishes_crashed_generation(tokens_ds, tmp_path):
@@ -1088,7 +1127,6 @@ def test_append_resume_finishes_crashed_generation(tokens_ds, tmp_path):
     import ray.data as rd
 
     from fsst_ray import append_dataset
-    from fsst_ray.pipelines.encode_job import _append_plan_path
 
     full = pa.concat_tables(
         pa.table(b) for b in tokens_ds.iter_batches(batch_format="pyarrow")
@@ -1113,13 +1151,13 @@ def test_append_resume_finishes_crashed_generation(tokens_ds, tmp_path):
     bucket_plan = build_bucket_plan(mass, config["bucket_tokens"])
     mf.save_plan(
         out, states, bucket_plan, mass, config,
-        path=_append_plan_path(out, 1),
+        path=mf.append_plan_path(out, 1),
         extra={"generation": 1, "completed": False},
     )
 
     res = append_dataset(rd.from_arrow(half_b), out, resume=True)
     assert res.metrics["generation"] == 1  # finished g1, did not open g2
-    sidecar = json.loads(_append_plan_path(out, 1).read_text())
+    sidecar = json.loads(mf.append_plan_path(out, 1).read_text())
     assert sidecar["completed"] is True
 
     union = pa.concat_tables([half_a, half_b])

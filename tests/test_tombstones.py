@@ -371,3 +371,75 @@ def test_upsert_stale_journal_after_landed_append(corpus, ray_session, tmp_path)
     assert res2 is not None and res2["generation"] == 1
     assert not _upsert_intent(out).exists()
     assert decode_dataset(out).count() == 121  # unchanged: no duplicates
+
+
+def _chunk_rows(out) -> dict:
+    """file name -> its chunk rows (payload and doc_id lists)."""
+    import pyarrow.parquet as pq
+
+    return {
+        f.name: pq.read_table(f, columns=["payload", "doc_id"])
+        for f in sorted(mf.chunks_dir(out).glob("*.parquet"))
+    }
+
+
+def test_purge_touches_only_hit_chunks(corpus, ray_session, tmp_path, monkeypatch):
+    """Purge decodes exactly the chunks whose doc_id list holds a dead
+    id and copies every other chunk's payload bytes unchanged; a second
+    purge of a copy gives byte-identical files."""
+    import shutil
+
+    import ray.data as rd
+
+    from fsst_ray.pipelines import executor
+    from fsst_ray.stages import decoder
+
+    _, full, _ = corpus
+    out = str(tmp_path / "enc_chunks")
+    encode_dataset(rd.from_arrow(full), out, chunk_tokens=1 << 12, bucket_tokens=1 << 15)
+    ids = sorted(full["doc_id"].to_pylist())
+    dead = ids[::97]
+    delete_docs(out, dead)
+    twin = str(tmp_path / "enc_chunks_twin")
+    shutil.copytree(out, twin)
+
+    before = _chunk_rows(out)
+    dead_set = set(dead)
+    hit = {
+        name: [bool(dead_set & set(d)) for d in t["doc_id"].to_pylist()]
+        for name, t in before.items()
+    }
+    n_hit = sum(map(sum, hit.values()))
+    n_chunks = sum(map(len, hit.values()))
+    assert 0 < n_hit < n_chunks / 2, (n_hit, n_chunks)
+
+    calls = []
+    real = decoder.decode_payload_into
+
+    def counting(payload, out_values):
+        calls.append(len(out_values))
+        return real(payload, out_values)
+
+    monkeypatch.setattr(executor, "_DRIVER_REWRITE_BYTES", 1 << 40)
+    monkeypatch.setattr(decoder, "decode_payload_into", counting)
+    res = purge_deletes(out)
+    monkeypatch.setattr(decoder, "decode_payload_into", real)
+    assert res["executor"] == "driver"
+    assert res["purged_rows"] == len(dead)
+    assert len(calls) == res["chunks_decoded"] == n_hit
+
+    after = _chunk_rows(out)
+    for name, t in before.items():
+        kept = [p for p, h in zip(t["payload"].to_pylist(), hit[name]) if not h]
+        new_payloads = after[name]["payload"].to_pylist()
+        # untouched chunks come first, in their order, byte for byte
+        assert new_payloads[: len(kept)] == kept, name
+        left = [d for lst in after[name]["doc_id"].to_pylist() for d in lst]
+        assert not dead_set & set(left), name
+    keep_ds = rd.from_arrow(full.filter(pc.invert(pc.is_in(full["doc_id"], pa.array(dead)))))
+    assert verify_roundtrip(keep_ds, out)["match"]
+
+    purge_deletes(twin)
+    for name in before:
+        a = (mf.chunks_dir(out) / name).read_bytes()
+        assert a == (mf.chunks_dir(twin) / name).read_bytes(), name
