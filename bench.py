@@ -98,7 +98,7 @@ def run_bench() -> dict:
                 enc_dir,
                 chunk_tokens=1 << 19,
                 bucket_tokens=1 << 22,  # ~4M tokens/bucket: >=2 tasks per core at sf0.1
-                input_path=path,  # pruned pass 1: mass/sample reads skip token bytes
+                input_path=path,
             )
             dt = time.perf_counter() - t0
             if dt <= queries.get("encode_bucketed", float("inf")):

@@ -520,6 +520,37 @@ void row_checksums(const int32_t *values, const int64_t *offsets,
     }
 }
 
+/* murmur3's 64-bit finalizer: each input bit flips each output bit
+ * with probability close to 1/2, top bits included. */
+static inline uint64_t fmix64(uint64_t k) {
+    k ^= k >> 33;
+    k *= 0xff51afd7ed558ccdULL;
+    k ^= k >> 33;
+    k *= 0xc4ceb9fe1a85ec53ULL;
+    return k ^ (k >> 33);
+}
+
+/* The corpus's doc-id hash, the identity bucket routing is cut by
+ * (stored plans name it "h64-mulshift-v1", so it must never change):
+ * per row of a string column's data + int64 offsets, seed with the
+ * byte length, fold each 8-byte little-endian word (the tail
+ * zero-padded, always folded) through fmix64. Multiply-shift bucketing
+ * reads the top bits, which fmix64 leaves well mixed. */
+void doc_hash64(const uint8_t *data, const int64_t *offsets, int64_t n_rows,
+                uint64_t *out) {
+    for (int64_t r = 0; r < n_rows; r++) {
+        const uint8_t *p = data + offsets[r];
+        int64_t len = offsets[r + 1] - offsets[r];
+        uint64_t h = 0x9E3779B97F4A7C15ULL ^ (uint64_t)len;
+        for (; len >= 8; len -= 8, p += 8) {
+            h = fmix64(h ^ load_word(p));
+        }
+        uint64_t tail = 0;
+        memcpy(&tail, p, (size_t)len);
+        out[r] = fmix64(h ^ tail);
+    }
+}
+
 /* ---- interleaved decompress into KNOWN output regions ----
  *
  * Here `out_offsets` is an INPUT: row r decodes into

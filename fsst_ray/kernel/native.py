@@ -88,6 +88,8 @@ def _bind(lib):
     ]
     lib.fsst_train.restype = i64
     lib.fsst_train.argtypes = [u8p, i64p, i64, u8p]
+    lib.doc_hash64.restype = None
+    lib.doc_hash64.argtypes = [u8p, i64p, i64, ctypes.POINTER(ctypes.c_uint64)]
     return lib
 
 
@@ -173,6 +175,34 @@ def row_checksums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     get_lib().row_checksums(
         _ptr(v32, ctypes.c_int32), _ptr(off, ctypes.c_int64), len(out),
         _ptr(out, ctypes.c_uint64),
+    )
+    return out
+
+
+def doc_hash64(doc_ids) -> np.ndarray:
+    """The corpus's u64 hash of each doc_id (a string Arrow array or
+    chunked array; other types hash their string cast). It depends only
+    on each id's bytes, not on chunking or slicing. A null id raises."""
+    import pyarrow as pa
+
+    if isinstance(doc_ids, pa.ChunkedArray):
+        parts = [doc_hash64(c) for c in doc_ids.chunks]
+        return np.concatenate(parts) if parts else np.zeros(0, np.uint64)
+    if not (pa.types.is_string(doc_ids.type) or pa.types.is_large_string(doc_ids.type)):
+        doc_ids = doc_ids.cast(pa.string())
+    if doc_ids.null_count:
+        raise ValueError("doc_id holds nulls (input precondition: doc_id is unique per row)")
+    n = len(doc_ids)
+    if n == 0:
+        return np.zeros(0, np.uint64)
+    _, off_buf, data_buf = doc_ids.buffers()
+    width = np.int64 if pa.types.is_large_string(doc_ids.type) else np.int32
+    offsets = np.frombuffer(off_buf, width, n + 1, doc_ids.offset * np.dtype(width).itemsize)
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    data = np.frombuffer(data_buf, np.uint8) if data_buf is not None and data_buf.size else np.zeros(1, np.uint8)
+    out = np.empty(n, dtype=np.uint64)
+    get_lib().doc_hash64(
+        _ptr(data, ctypes.c_uint8), _ptr(offsets, ctypes.c_int64), n, _ptr(out, ctypes.c_uint64)
     )
     return out
 

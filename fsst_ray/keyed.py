@@ -55,17 +55,30 @@ def sorted_fold(ds, key, fn, empty: pa.Table | None = None):
     never straddle a block boundary: each block holds every row of its
     keys and `fn` folds whole groups locally, with no per-group Python
     call and no second exchange. `fn` gets a pyarrow Table and returns
-    one (or a generator of them). An empty block gives `empty` (the
-    empty block itself when None) without calling `fn`."""
+    one (or a generator of them).
+
+    Every block of the result holds rows and `fn`'s output schema. Ray
+    Data (2.49) passes an empty block through `map_batches` without
+    calling `fn`, so an empty range partition would keep the sort's
+    schema; the fold therefore runs here and only its non-empty blocks
+    make the result. The sort is a barrier either way, so this holds
+    the folded blocks in the object store instead of streaming them.
+    With no row left, the result is `empty` when given."""
+    import ray.data as rd
 
     def per_block(block: pa.Table):
-        if block.num_rows == 0:
-            return block if empty is None else empty
-        return fn(block)
+        return fn(block) if block.num_rows else block
 
-    return ds.sort(key).map_batches(
+    folded = ds.sort(key).map_batches(
         per_block, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
     )
+    blocks = [b for bundle in folded.iter_internal_ref_bundles() for b in bundle.blocks]
+    kept = [ref for ref, meta in blocks if meta.num_rows != 0]
+    if kept:
+        return rd.from_arrow_refs(kept)
+    if empty is not None:
+        return rd.from_arrow(empty)
+    return rd.from_arrow_refs([ref for ref, _ in blocks]) if blocks else folded
 
 
 def _scatter(ufunc, inv: np.ndarray, values: np.ndarray, n: int, fill) -> np.ndarray:

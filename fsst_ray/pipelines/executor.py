@@ -2,7 +2,7 @@
 
 Every corpus job that fans out over files -- both phases of a
 selective read, the per-source and per-generation decodes, purge,
-compaction and pass 2's per-bucket encode of staged fragments -- maps
+compaction and pass 2's per-bucket encode of staged slices -- maps
 one plain module-level function over its files here. Extra arguments
 are passed as keyword arguments, never captured. When the files total
 at most a byte bound on disk (one `os.stat` each), the driver calls the
@@ -14,8 +14,9 @@ them. The function, its arguments and its results are the same either
 way: callers never branch on the executor, they only record it.
 
 The full-corpus scan (`decode_job.decode_dataset`) and the map side
-of an encode (`encode_job.stage_batch`) stay Ray Data maps over the
-input: in the driver they would hold the whole corpus in one process.
+of an encode (pass 1's `trainer.scan_batch`, which also stages the
+input) stay Ray Data maps over the input: in the driver they would hold
+the whole corpus in one process.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ _DRIVER_READ_BYTES = 64 << 20
 # near 220 MiB cold (0.55 against 1.00 s at 98 MiB, 1.37 against
 # 1.05 s at 311 MiB). Warm Ray tasks tied or beat the driver on both
 # jobs at every size from 0.1 MiB up. Pass 2's bucket encodes, timed as
-# whole appends and sized by their staged fragments, cross near 74 MiB
+# whole appends and sized by their staged input, cross near 74 MiB
 # cold (3.24 s in the driver against 5.14 s on Ray at 28.5 MiB, 6.83
 # against 6.22 s at 85.1 MiB); alone they would give 32 MiB, but purge
 # crosses first, so they share this bound.
@@ -66,16 +67,17 @@ _DRIVER_REWRITE_BYTES = 16 << 20
 
 def _nbytes(files) -> int:
     """On-disk bytes of one call's input: a chunk-file path, or the
-    list of paths a compaction merge group or a staged bucket reads."""
+    list of paths a compaction merge group reads."""
     if isinstance(files, (list, tuple)):
         return sum(os.stat(f).st_size for f in files)
     return os.stat(files).st_size
 
 
-def _plan(files, bound: int) -> dict:
+def _plan(files, bound: int, sizes=None) -> dict:
     """The one driver-or-Ray rule: how a job over `files` runs
-    ({"executor": "driver"|"ray", "bytes_read": on-disk bytes})."""
-    nbytes = sum(_nbytes(f) for f in files)
+    ({"executor": "driver"|"ray", "bytes_read": on-disk bytes}), each
+    call sized by `sizes` when given, else by its files on disk."""
+    nbytes = sum(sizes) if sizes is not None else sum(_nbytes(f) for f in files)
     return {"executor": "driver" if nbytes <= bound else "ray", "bytes_read": nbytes}
 
 
@@ -87,12 +89,14 @@ def _task(fn):
     return ray.remote(num_cpus=1)(fn)
 
 
-def map_files(fn, files, each=None, *, rewrite=False, **kwargs) -> tuple[list, dict]:
+def map_files(fn, files, each=None, *, rewrite=False, sizes=None, **kwargs) -> tuple[list, dict]:
     """`[fn(files[i], **each[i], **kwargs) for i ...]` and how it ran
     ({"executor": "driver"|"ray", "bytes_read": on-disk bytes}).
     `each` holds per-file keyword arguments (default: none); `rewrite`
-    jobs (purge, compaction, bucket encodes) use the rewrite bound."""
-    run = _plan(files, _DRIVER_REWRITE_BYTES if rewrite else _DRIVER_READ_BYTES)
+    jobs (purge, compaction, bucket encodes) use the rewrite bound.
+    `sizes` gives each call's bytes when it reads only part of its
+    files (a bucket encode reads some record batches of each)."""
+    run = _plan(files, _DRIVER_REWRITE_BYTES if rewrite else _DRIVER_READ_BYTES, sizes)
     each = [{}] * len(files) if each is None else each
     if run["executor"] == "driver":
         return [fn(f, **e, **kwargs) for f, e in zip(files, each)], run

@@ -1,11 +1,14 @@
-"""Pass 2: skew-aware partition assignment + chunk encoding.
+"""Pass 2: skew-aware bucket routing + chunk encoding.
 
-Skew handling per the north rule: rows are keyed by
-(source, bucket) where each source gets a bucket count proportional to
-its token mass (pass-1 stats), and rows spread across buckets by a
-stable doc_id hash. The giant-row family therefore fans out over many
-buckets instead of serializing one task. Encoded output is written one
-atomic parquet file per bucket, which is the resume unit.
+Skew handling per the north rule: each source gets a bucket count
+proportional to its token mass (pass-1 stats), and its rows spread
+across buckets by the corpus's doc-id hash `h` (`native.doc_hash64`):
+bucket b of n holds the hash range [b * 2^64 / n, (b + 1) * 2^64 / n),
+so b = (h * n) >> 64 (multiply-shift; Lemire, ACM TOMACS 2019). The
+giant-row family therefore fans out over many buckets instead of
+serializing one task, and a block staged in (source, h) order holds
+each bucket of any plan as one contiguous slice. Encoded output is
+written one atomic parquet file per bucket, which is the resume unit.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ import pyarrow.compute as pc
 
 from ..codecs import encode_chunk
 from ..keyed import group_starts
+from ..kernel import native
 from .serialize import tokens_views
-from .trainer import _doc_priorities
+from .trainer import _source_codes
 
 ENCODED_CHUNK_SCHEMA = pa.schema(
     [
@@ -43,21 +47,44 @@ def build_bucket_plan(mass: dict[str, dict], bucket_tokens: int) -> dict[str, in
     }
 
 
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def hash_bucket(h, n):
+    """The routing rule: bucket (h * n) >> 64 of each u64 hash `h`
+    among `n` buckets (a scalar or one count per hash, below 2^32).
+    Exact in u64: h is split into 32-bit halves, so no product passes
+    2^64. Monotone in h, so hash-sorted rows keep each bucket
+    contiguous."""
+    h = np.asarray(h, dtype=np.uint64)
+    n = np.asarray(n, dtype=np.uint64)
+    if (n >= np.uint64(1 << 32)).any():
+        raise ValueError("a source holds 2^32 buckets or more")
+    return (((h >> _SHIFT32) * n + (((h & _LOW32) * n) >> _SHIFT32)) >> _SHIFT32).astype(np.int64)
+
+
+def part_key(source: str, tag: str, bucket: int) -> str:
+    """A bucket's part key, '{source}:{tag}{bucket:05d}'."""
+    return f"{source}:{tag}{bucket:05d}"
+
+
 def assign_partitions(batch: pa.Table, plan: dict[str, int], tag: str = "") -> pa.Table:
-    """Append the part_key column: '{source}:{tag}{bucket:05d}'.
+    """Append the part_key column: '{source}:{tag}{bucket:05d}', the
+    bucket by `hash_bucket` of each row's doc-id hash.
 
     `tag` namespaces a generation of buckets (incremental append jobs
     pass 'g{N}-') so appended part keys never collide with existing
-    bucket files."""
-    sources = batch["source"].to_numpy(zero_copy_only=False)
-    pr = _doc_priorities(batch["doc_id"])
-    n_buckets = np.array([plan.get(s, 1) for s in sources], dtype=np.uint64)
-    buckets = (pr % n_buckets).astype(np.int64)
-    keys = np.char.add(
-        np.char.add(sources.astype(str), ":" + tag),
-        np.char.zfill(buckets.astype(str), 5),
-    )
-    return batch.append_column("part_key", pa.array(keys, type=pa.string()))
+    bucket files. One key string is built per distinct (source,
+    bucket); the rows gather them."""
+    names, inv = _source_codes(batch["source"])
+    n = np.array([plan.get(s, 1) for s in names.to_pylist()], dtype=np.uint64)
+    buckets = hash_bucket(native.doc_hash64(batch["doc_id"]), n[inv])
+    stride = int(n.max(initial=1))
+    pairs, code = np.unique(inv * stride + buckets, return_inverse=True)
+    names = names.to_pylist()
+    keys = [part_key(names[p // stride], tag, p % stride) for p in pairs.tolist()]
+    return batch.append_column("part_key", pa.array(keys, pa.string()).take(pa.array(code)))
 
 
 def encode_rows_to_chunks(

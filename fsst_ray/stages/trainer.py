@@ -1,4 +1,5 @@
-"""Pass 1: per-source sampling, token mass and symbol-table training.
+"""Pass 1: the one scan of the input. It samples, counts token mass,
+stages every row for pass 2, and trains the symbol tables.
 
 The reference trains one table per corpus from a <=16 KiB pseudo-random
 sample (make_sample, reference src/builder.rs:535-584). Here every
@@ -16,16 +17,17 @@ source's running prefix. Because prefix(A + B) == prefix(prefix(A) + B)
 global-cumulative bytes), the sample is the global prefix under any
 split of rows into blocks, and the driver holds O(sources x 32 KiB).
 
-Two reads can feed the fold; `train_states` picks one by on-disk size:
-- scan: one read of the whole input, which cuts the chunks block-side;
-- pruned (parquet inputs of at least PRUNED_PASS1_MIN_BYTES): a
-  projected (doc_id, n_tok, source) read applies the same rules without
-  token bytes, then a doc_id-filtered read fetches only the kept rows.
-Both give bit-identical states and mass.
+The same map (`scan_batch`, one Ray Data job per encode) also writes
+each block once under the encode's staging directory, as an lz4 Arrow
+IPC file with rows sorted by (source, doc-id hash `h`), and returns one
+index row per record batch. Bucket b of a source's n buckets is the
+hash range cut by `encoder.hash_bucket`, so any bucket plan chosen after
+the scan is a contiguous slice of every block file.
 """
 
 from __future__ import annotations
 
+import os
 import pathlib
 
 import numpy as np
@@ -34,19 +36,31 @@ import pyarrow.compute as pc
 
 from ..codecs.fsst_codec import train_with_ratio
 from ..keyed import group_sizes, group_starts, sum_by
+from ..kernel import native
 from ..kernel.fsst import FSST_SAMPLELINE, FSST_SAMPLEMAX, fsst_hash
 from .serialize import tokens_views
 
-# below this on-disk size, one full scan is cheaper than the pruned two
-# reads (the sampled docs would touch ~every row group of a small corpus)
-PRUNED_PASS1_MIN_BYTES = 4 << 30
+# a staged record batch holds one source's rows, at most this many rows
+# and about this many token bytes, so a bucket's slice of a block file
+# decompresses at most two partial batches beyond its own rows
+STAGE_BATCH_ROWS = 1 << 14
+STAGE_BATCH_BYTES = 1 << 18
 
+# sample_and_mass_batch's columns
+SAMPLE_COLUMNS = ["source", "priority", "is_mass", "chunk", "mass", "rows"]
 
-def _corpus_bytes(input_path: str) -> int:
-    p = pathlib.Path(input_path)
-    if p.is_file():
-        return p.stat().st_size
-    return sum(f.stat().st_size for f in p.glob("**/*.parquet"))
+# scan_batch's index rows, one per staged record batch
+INDEX_SCHEMA = pa.schema(
+    [
+        ("source", pa.string()),
+        ("rows", pa.int64()),
+        ("path", pa.string()),
+        ("batch", pa.int64()),
+        ("h_lo", pa.uint64()),
+        ("h_hi", pa.uint64()),
+        ("nbytes", pa.int64()),
+    ]
+)
 
 
 def _doc_priorities(doc_ids: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -61,8 +75,7 @@ def sample_spans(n_tok: np.ndarray, priority: np.ndarray) -> tuple[np.ndarray, n
     """Each row's sample chunk as (byte offset in the row, byte length):
     chunk number fsst_hash(priority) of the row's FSST_SAMPLELINE-byte
     chunks, as make_sample cuts a line. A pure function of (n_tok,
-    priority), so the pruned read applies it without token bytes.
-    Empty rows get length 0."""
+    priority). Empty rows get length 0."""
     row_len = 4 * n_tok.astype(np.int64)
     n_chunks = np.maximum(1 + (row_len - 1) // FSST_SAMPLELINE, 1)
     lo = FSST_SAMPLELINE * (fsst_hash(priority) % n_chunks.astype(np.uint64)).astype(np.int64)
@@ -96,69 +109,137 @@ def _source_codes(source: pa.ChunkedArray | pa.Array) -> tuple[pa.Array, np.ndar
     return enc.dictionary.take(order), rank[enc.indices.to_numpy()]
 
 
-def _block(batch: pa.Table, n_tok: np.ndarray):
+def _candidates(batch: pa.Table, values, offsets, names: pa.Array, inv: np.ndarray) -> pa.Table:
     """One block's mass rows (one per source) followed by its budget
-    prefix of sample rows, without a payload column; plus the kept
-    rows' indices and chunk spans."""
+    prefix of sample rows; `names` and `inv` number its sources."""
+    n_tok = np.diff(offsets)
     priority = _doc_priorities(batch["doc_id"])
-    names, inv = _source_codes(batch["source"])
     lo, size = sample_spans(n_tok, priority)
     rows = np.flatnonzero(size)
     keep = rows[_budget_prefix(inv[rows], priority[rows], size[rows])]
-    mass = sum_by(inv, n_tok, len(names))
     m, zeros = len(names), np.zeros(len(keep), np.int64)
-    head = pa.table(
+    raw = values.astype("<i4", copy=False).view(np.uint8)
+    starts = 4 * offsets[keep] + lo[keep]
+    chunks = [b""] * m + [raw[a : a + n].tobytes() for a, n in zip(starts, size[keep])]
+    return pa.table(
         {
             "source": pa.concat_arrays([names, names.take(inv[keep])]),
             "priority": np.concatenate([np.zeros(m, np.uint64), priority[keep]]),
             "is_mass": np.arange(m + len(keep)) < m,
-            "mass": np.concatenate([mass, zeros]),
+            "chunk": pa.array(chunks, pa.large_binary()),
+            "mass": np.concatenate([sum_by(inv, n_tok, m), zeros]),
             "rows": np.concatenate([np.bincount(inv, minlength=m).astype(np.int64), zeros]),
         }
     )
-    return head, keep, lo[keep], size[keep]
 
 
 def sample_and_mass_batch(batch: pa.Table) -> pa.Table:
     """Per-source token-mass rows plus the block's sample-chunk rows."""
     values, offsets = tokens_views(batch)
-    head, keep, lo, size = _block(batch, np.diff(offsets))
-    raw = values.astype("<i4", copy=False).view(np.uint8)
-    starts = 4 * offsets[keep] + lo
-    chunks = [b""] * (head.num_rows - len(keep))
-    chunks += [raw[a : a + n].tobytes() for a, n in zip(starts, size)]
-    return head.add_column(3, "chunk", pa.array(chunks, pa.large_binary()))
+    return _candidates(batch, values, offsets, *_source_codes(batch["source"]))
 
 
-def _doc_candidates_batch(batch: pa.Table) -> pa.Table:
-    """sample_and_mass_batch on the (doc_id, n_tok, source) projection:
-    sample rows carry their doc_id and chunk length, not chunk bytes."""
-    n_tok = batch["n_tok"].to_numpy(zero_copy_only=False).astype(np.int64)
-    head, keep, _, size = _block(batch, n_tok)
-    pad = head.num_rows - len(keep)
-    doc_ids = batch["doc_id"].combine_chunks().take(pa.array(keep, pa.int64()))
-    return head.append_column(
-        "doc_id", pa.concat_arrays([pa.nulls(pad, pa.string()), doc_ids.cast(pa.string())])
-    ).append_column("chunk_len", pa.array(np.r_[np.zeros(pad, np.int64), size]))
+def _batch_cuts(inv: np.ndarray, row_bytes: np.ndarray) -> list[tuple[int, int]]:
+    """(first, end) rows of each staged record batch over rows sorted by
+    source code `inv`: cut at every source boundary, at
+    STAGE_BATCH_ROWS rows and once STAGE_BATCH_BYTES would be passed
+    (a larger row is a batch of its own)."""
+    cum = np.concatenate([[0], np.cumsum(row_bytes)])
+    starts = group_starts(inv).tolist()
+    cuts = []
+    for lo, hi in zip(starts, starts[1:] + [len(inv)]):
+        while lo < hi:
+            fit = int(np.searchsorted(cum, cum[lo] + STAGE_BATCH_BYTES, "right")) - 1
+            end = max(lo + 1, min(lo + STAGE_BATCH_ROWS, fit, hi))
+            cuts.append((lo, end))
+            lo = end
+    return cuts
 
 
-def _sizes(samples: pa.Table) -> np.ndarray:
-    if "chunk_len" in samples.column_names:
-        return samples["chunk_len"].to_numpy()
-    return pc.binary_length(samples["chunk"]).to_numpy()
+def _stage_block(batch: pa.Table, n_tok: np.ndarray, names: pa.Array, inv: np.ndarray, staging: str) -> pa.Table:
+    """Write the block once, rows sorted by (source, h) with `h` as
+    column "_h", as one lz4 Arrow IPC file under `staging`; returns its
+    index rows, one per record batch: source, rows, path, batch, first
+    and last h, and on-disk bytes.
+
+    The file is named by its content (the sum of its hashes and its row
+    count) and written tmp+rename, so a retried task rewrites the same
+    file. lz4 IPC: at 4 CPUs on a 1.73B-token corpus it staged
+    1.85 B/token in 41 s where uncompressed parquet took 2.5 B/token
+    and 76 s, and it reads back faster."""
+    h = native.doc_hash64(batch["doc_id"])
+    order = np.lexsort((h, inv))
+    h, inv = h[order], inv[order]
+    rows = batch.take(pa.array(order)).append_column("_h", pa.array(h)).combine_chunks()
+    cuts = _batch_cuts(inv, 4 * n_tok[order])
+    path = pathlib.Path(staging) / f"{int(h.sum(dtype=np.uint64)):016x}-{len(h)}.arrow"
+    tmp = path.with_suffix(f".{os.getpid()}.tmp")
+    nbytes = []
+    record = rows.to_batches()[0]
+    options = pa.ipc.IpcWriteOptions(compression="lz4")
+    with pa.OSFile(str(tmp), "wb") as sink, pa.ipc.new_file(sink, rows.schema, options=options) as w:
+        for lo, end in cuts:
+            at = sink.tell()
+            w.write_batch(record.slice(lo, end - lo))
+            nbytes.append(sink.tell() - at)
+    os.replace(tmp, path)
+    first, end = (np.array(c, np.int64) for c in zip(*cuts))
+    return pa.table(
+        {
+            "source": names.take(inv[first]),
+            "rows": end - first,
+            "path": [str(path)] * len(cuts),
+            "batch": np.arange(len(cuts)),
+            "h_lo": h[first],
+            "h_hi": h[end - 1],
+            "nbytes": nbytes,
+        },
+        schema=INDEX_SCHEMA,
+    )
+
+
+def scan_batch(batch: pa.Table, *, staging: str | None = None, fault_dir: str | None = None) -> pa.Table:
+    """The map of pass 1: sample_and_mass_batch's rows and, when
+    `staging` is given, the block staged there (`_stage_block`) and its
+    index rows (INDEX_SCHEMA; null on the other rows, as the sample
+    columns are on them)."""
+    values, offsets = tokens_views(batch)
+    names, inv = _source_codes(batch["source"])
+    out = _candidates(batch, values, offsets, names, inv)
+    if staging is None:
+        return out
+    index = _stage_block(batch, np.diff(offsets), names, inv, staging)
+    # fault injection (tests only): once the block is staged, kill this
+    # worker once; Ray reruns the task, which rewrites the same file
+    if fault_dir:
+        try:
+            (pathlib.Path(fault_dir) / "route_killed").touch(exist_ok=False)
+            os._exit(1)  # simulated worker death (not an exception)
+        except FileExistsError:
+            pass
+    return pa.concat_tables([out, index], promote_options="default")
 
 
 def _keep_budget(samples: pa.Table) -> pa.Table:
     codes = _source_codes(samples["source"])[1]
-    return samples.take(_budget_prefix(codes, samples["priority"].to_numpy(), _sizes(samples)))
+    sizes = pc.binary_length(samples["chunk"]).to_numpy()
+    return samples.take(_budget_prefix(codes, samples["priority"].to_numpy(), sizes))
 
 
-def _fold(blocks) -> tuple[dict[str, dict], pa.Table | None]:
+def _fold(blocks, index: list | None = None) -> tuple[dict[str, dict], pa.Table | None]:
     """Driver reduce of a candidate stream: per-source mass, and the
-    sample rows of each source's running budget prefix."""
+    sample rows of each source's running budget prefix. Index rows
+    (scan_batch's, with a path) go to `index` when given."""
     mass: dict[str, dict] = {}
     kept = None
     for t in blocks:
+        if t.num_rows == 0:
+            continue  # Ray Data passes an empty block on without the map
+        if "path" in t.column_names:
+            staged = pc.is_valid(t["path"])
+            if index is not None:
+                index.append(t.filter(staged).select(INDEX_SCHEMA.names))
+            t = t.filter(pc.invert(staged)).select(SAMPLE_COLUMNS)
         head = t.filter(t["is_mass"])
         for s, n, r in zip(*(head[c].to_pylist() for c in ("source", "mass", "rows"))):
             m = mass.setdefault(s, {"tokens": 0, "rows": 0})
@@ -167,7 +248,6 @@ def _fold(blocks) -> tuple[dict[str, dict], pa.Table | None]:
         samples = t.filter(pc.invert(t["is_mass"]))
         kept = _keep_budget(samples if kept is None else pa.concat_tables([kept, samples]))
     return dict(sorted(mass.items())), kept
-
 
 def train_source_group(group: pa.Table) -> pa.Table:
     """Reduce one source's sample+mass rows to (source, state, mass, rows)."""
@@ -201,36 +281,39 @@ def _group(source: str, mass: dict, kept: pa.Table | None) -> pa.Table:
     return pa.concat_tables([head, kept.filter(pc.equal(kept["source"], source))])
 
 
-def train_states(ds, input_path: str | None = None, base_states: dict | None = None):
-    """Run pass 1 over `ds` (read from `input_path`, when given).
-    Returns ({source: {"fsst", "ratio"}}, {source: {"tokens", "rows"}},
-    {"route": "scan" | "pruned", "sources_trained": [...]}). Sources in
-    `base_states` keep that state; only the others are trained."""
-    import ray.data as rd
+def scan(ds, staging: str | None = None, fault_dir: str | None = None):
+    """Pass 1's one Ray Data job over `ds` and the driver fold. Returns
+    ({source: {"tokens", "rows"}}, the kept sample rows, and the index
+    rows (INDEX_SCHEMA) of the block files staged under `staging`, none
+    when it is not given)."""
+    blocks = ds.map_batches(
+        scan_batch,
+        batch_format="pyarrow",
+        batch_size=None,
+        fn_kwargs={"staging": staging, "fault_dir": fault_dir},
+    )
+    index: list[pa.Table] = []
+    mass, kept = _fold(blocks.iter_batches(batch_format="pyarrow", batch_size=None), index)
+    return mass, kept, pa.concat_tables([INDEX_SCHEMA.empty_table(), *index])
 
+
+def train_sources(mass: dict, kept: pa.Table | None, base_states: dict | None = None):
+    """A state for every source of `mass`: a source in `base_states`
+    keeps that state, the others train on their kept sample rows.
+    Returns ({source: {"fsst", "ratio"}}, the sources trained)."""
     base_states = base_states or {}
-    pruned = input_path is not None and _corpus_bytes(input_path) >= PRUNED_PASS1_MIN_BYTES
-    if pruned:
-        ds = rd.read_parquet(
-            input_path, columns=["doc_id", "n_tok", "source"], file_extensions=["parquet"]
-        )
-    fn = _doc_candidates_batch if pruned else sample_and_mass_batch
-    blocks = ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
-    mass, kept = _fold(blocks.iter_batches(batch_format="pyarrow", batch_size=None))
     train = [s for s in mass if s not in base_states]
-    if pruned and train:
-        # swap the kept doc_ids for their chunks: a prefix of the
-        # fetched rows is all of them, so the second fold keeps them all
-        wanted = kept.filter(pc.is_in(kept["source"], pa.array(train, pa.string())))["doc_id"]
-        fetched = rd.read_parquet(
-            input_path,
-            columns=["doc_id", "tokens", "source"],
-            filter=pc.field("doc_id").isin(wanted.combine_chunks()),
-            file_extensions=["parquet"],
-        ).map_batches(sample_and_mass_batch, batch_format="pyarrow", batch_size=None)
-        kept = _fold(fetched.iter_batches(batch_format="pyarrow", batch_size=None))[1]
     states = {s: base_states.get(s) for s in mass}
     for s in train:
         r = train_source_group(_group(s, mass[s], kept))
         states[s] = {"fsst": r["state"][0].as_py(), "ratio": r["ratio"][0].as_py()}
-    return states, mass, {"route": "pruned" if pruned else "scan", "sources_trained": train}
+    return states, train
+
+
+def train_states(ds, base_states: dict | None = None):
+    """Pass 1 over `ds` without staging. Returns ({source: {"fsst",
+    "ratio"}}, {source: {"tokens", "rows"}}, {"route": "scan",
+    "sources_trained": [...]})."""
+    mass, kept, _ = scan(ds)
+    states, train = train_sources(mass, kept, base_states)
+    return states, mass, {"route": "scan", "sources_trained": train}

@@ -13,10 +13,11 @@ Every chunk file is written by `write_chunk_file`, and every entry is
 `entry_from_chunks` of its file's index columns, so an entry always
 describes the bytes on disk, whichever job wrote them.
 
-A rerun with resume=True loads _plan.json (skipping pass 1), drops rows
-of completed partitions before the shuffle, and re-encodes only the
-missing buckets — idempotent because bucket assignment is a pure
-function of (doc_id, plan) and files are written via tmp+rename.
+A rerun with resume=True re-scans the input, loads _plan.json instead of
+training, and re-encodes only the missing buckets — idempotent because
+bucket assignment is a pure function of (doc_id, plan) and files are
+written via tmp+rename. Every plan records the routing rule its buckets
+were cut by (ROUTING); a resume refuses a plan cut by another.
 """
 
 from __future__ import annotations
@@ -56,6 +57,12 @@ def write_json_atomic(path: pathlib.Path, obj) -> None:
     os.replace(tmp, path)
 
 
+# the bucket routing rule of every plan this version saves: bucket b of
+# a source's n holds the rows whose native.doc_hash64(doc_id) = h has
+# (h * n) >> 64 == b (stages/encoder.hash_bucket)
+ROUTING = "h64-mulshift-v1"
+
+
 def save_plan(out_dir: str, states: dict[str, dict], bucket_plan: dict[str, int],
               mass: dict[str, dict], config: dict, path=None, extra: dict | None = None) -> None:
     write_json_atomic(
@@ -68,6 +75,7 @@ def save_plan(out_dir: str, states: dict[str, dict], bucket_plan: dict[str, int]
             "bucket_plan": bucket_plan,
             "mass": mass,
             "config": config,
+            "routing": ROUTING,
             **(extra or {}),
         },
     )

@@ -1509,11 +1509,11 @@ def test_hash_join_skew_guard_raises_on_hot_key(ray_session):
             "rv": pa.array(list(range(50)) + [0], type=pa.int64()),
         }
     )
-    joined = hash_join(
-        rd.from_arrow(left), rd.from_arrow(right), "k", "rk", max_group_rows=100
-    )
+    # the sorted fold runs when the join is built (keyed.sorted_fold)
     with pytest.raises((ValueError, ray.exceptions.RayTaskError)) as ei:
-        joined.materialize()
+        hash_join(
+            rd.from_arrow(left), rd.from_arrow(right), "k", "rk", max_group_rows=100
+        ).materialize()
     assert "max_group_rows" in str(ei.value)
     # under the bound the same join succeeds (50*50 + 1 rows)
     ok = hash_join(

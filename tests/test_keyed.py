@@ -145,31 +145,28 @@ def test_sorted_isin_empty_and_structured():
     assert sorted_isin(keys, probe).tolist() == [True, False, False]
 
 
-class _RecordingDataset:
-    """Stands in for a Ray Dataset: records the sort key and hands back
-    the per-block function sorted_fold maps."""
+def test_sorted_fold_empty_block_never_reaches_fn(ray_session):
+    """One key over four blocks makes the range sort cut empty
+    partitions. None of them reaches fn, and every block of the result
+    holds rows and fn's output schema; a fold that leaves no row gives
+    `empty`."""
+    import ray
+    import ray.data as rd
 
-    def sort(self, key):
-        self.key = key
-        return self
-
-    def map_batches(self, fn, **kwargs):
-        self.kwargs = kwargs
-        return fn
-
-
-def test_sorted_fold_empty_block_never_reaches_fn():
     def fn(block):
-        raise AssertionError("fn called on an empty block")
+        assert block.num_rows, "fn called on an empty block"
+        return pa.table({"k": block["k"], "n": pa.array(np.ones(block.num_rows, np.int64))})
 
-    schema_only = pa.table({"k": pa.array([], pa.int64())})
-    ds = _RecordingDataset()
-    per_block = sorted_fold(ds, "k", fn, schema_only)
-    assert ds.key == "k" and ds.kwargs["batch_size"] is None
-    assert per_block(pa.table({"x": pa.array([], pa.string())})) is schema_only
-    empty_in = pa.table({"x": pa.array([], pa.string())})
-    assert sorted_fold(_RecordingDataset(), "x", fn)(empty_in) is empty_in
-    assert sorted_fold(_RecordingDataset(), "k", len)(pa.table({"k": [1, 2]})) == 2
+    tbl = pa.table({"k": np.ones(40, np.int64), "v": np.arange(40)})
+    ds = rd.from_arrow([tbl.slice(i * 10, 10) for i in range(4)])
+    assert any(b.num_rows == 0 for b in ray.get(ds.sort("k").to_arrow_refs()))
+    blocks = ray.get(sorted_fold(ds, "k", fn).to_arrow_refs())
+    assert sum(b.num_rows for b in blocks) == 40
+    assert all(b.num_rows and b.schema.names == ["k", "n"] for b in blocks)
+
+    schema_only = fn(tbl.slice(0, 1)).slice(0, 0)
+    none_left = sorted_fold(ds, "k", lambda b: schema_only, schema_only)
+    assert [b.schema for b in ray.get(none_left.to_arrow_refs())] == [schema_only.schema]
 
 
 def test_sorted_fold_folds_whole_groups_across_blocks(ray_session):

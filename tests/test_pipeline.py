@@ -63,8 +63,15 @@ def test_resume_skips_done_parts(tokens_ds, tmp_path):
     result = encode_dataset(
         tokens_ds, out, chunk_tokens=1 << 14, bucket_tokens=1 << 15
     )
-    all_parts = set(mf.load_manifest(out))
+    entries = mf.load_manifest(out)
+    all_parts = set(entries)
     assert len(all_parts) == sum(result.bucket_plan.values())
+    # the parts that hold rows are the keys the per-row statement of
+    # the routing rule gives (a bucket no row hashes to has an empty file)
+    from fsst_ray.stages.encoder import assign_partitions
+
+    keyed = assign_partitions(tokens_table(SCALE), result.bucket_plan)
+    assert {k for k, e in entries.items() if e["rows"]} == set(keyed["part_key"].to_pylist())
 
     # the completed job compacted per-part entries into one file
     assert mf.compact_path(out).exists()
@@ -84,6 +91,9 @@ def test_resume_skips_done_parts(tokens_ds, tmp_path):
     result2 = encode_dataset(
         tokens_ds, out, chunk_tokens=1 << 14, bucket_tokens=1 << 15, resume=True
     )
+    # the resume re-scans (and stages) the input but trains nothing
+    assert result2.metrics["pass1"] == {"route": "resumed", "sources_trained": []}
+    assert result2.metrics["pass2"]["staged_files"] == result.metrics["pass2"]["staged_files"]
     assert set(mf.load_manifest(out)) == all_parts
     v = verify_roundtrip(tokens_ds, out)
     assert v["match"], v
@@ -133,7 +143,7 @@ def test_duplicate_doc_id_rejected(ray_session, tmp_path):
 
 def test_duplicate_doc_id_across_blocks_rejected(ray_session, tmp_path):
     """Duplicated doc_ids that arrive in DIFFERENT input blocks, and so
-    are staged as different fragments of the same bucket, must still
+    are staged in different block files read by the same bucket, must still
     raise (ADVICE r2 item 2)."""
     import ray.data as rd
 
@@ -148,36 +158,6 @@ def test_duplicate_doc_id_across_blocks_rejected(ray_session, tmp_path):
             chunk_tokens=1 << 14,
             bucket_tokens=1 << 15,
         )
-
-
-@pytest.fixture
-def pass1_routes(monkeypatch):
-    """train_states down both routes: the pruned-read size bound forced
-    to 1 << 62 (one scan) and to 0 (pruned reads)."""
-    from fsst_ray.stages import trainer
-
-    def run(ds, path):
-        out = {}
-        for bound, route in ((1 << 62, "scan"), (0, "pruned")):
-            monkeypatch.setattr(trainer, "PRUNED_PASS1_MIN_BYTES", bound)
-            states, mass, report = trainer.train_states(ds, path)
-            assert report == {"route": route, "sources_trained": sorted(mass)}
-            out[route] = states, mass
-        return out["scan"], out["pruned"]
-
-    return run
-
-
-def test_pruned_pass1_matches_full_scan(tokens_ds, pass1_routes):
-    """The pruned route (projected mass scan + doc_id-filtered sample
-    read) must produce bit-identical states and mass to the full scan."""
-    path = ensure_tokens_parquet(SCALE)
-    (s_full, m_full), (s_pruned, m_pruned) = pass1_routes(tokens_ds, path)
-    assert m_full == m_pruned
-    assert set(s_full) == set(s_pruned)
-    for source in s_full:
-        assert s_full[source]["fsst"] == s_pruned[source]["fsst"], source
-        assert s_full[source]["ratio"] == s_pruned[source]["ratio"], source
 
 
 def _short_docs_table() -> pa.Table:
@@ -205,28 +185,6 @@ def _short_docs_table() -> pa.Table:
             ]
         ),
     )
-
-
-def test_pruned_pass1_matches_full_scan_short_docs(pass1_routes, tmp_path):
-    """Short-doc corpus (chunks well under FSST_SAMPLELINE): the pruned
-    route must select candidates by the SAMPLEMAX byte budget — a
-    64-row count cap would train on fewer bytes than the full scan
-    consumes. Also exercises more than 64 candidates being kept."""
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    table = _short_docs_table()
-    path = tmp_path / "short_docs"
-    path.mkdir()
-    # several files so the union of per-block prefixes exceeds one block's
-    for part in range(3):
-        pq.write_table(table.slice(part * 100, 100), f"{path}/part{part}.parquet")
-
-    ds = rd.read_parquet(str(path), file_extensions=["parquet"])
-    (s_full, m_full), (s_pruned, m_pruned) = pass1_routes(ds, str(path))
-    assert m_full == m_pruned
-    assert s_full["short"]["fsst"] == s_pruned["short"]["fsst"]
-    assert s_full["short"]["ratio"] == s_pruned["short"]["ratio"]
 
 
 def test_sample_rows_match_loop_reference():
@@ -269,17 +227,19 @@ def test_sample_rows_match_loop_reference():
     assert got_mass == want_mass
 
 
-def test_pass1_is_partition_independent(ray_session, tmp_path, monkeypatch):
+def test_pass1_is_partition_independent(ray_session, tmp_path):
     """The driver folds per-block budget prefixes, which equals the
     global prefix only if pass 1 ignores how rows are split into blocks
     and ordered: one block, 23 blocks, reversed rows and several
-    parquet files read by the pruned route must give equal states and
-    mass (mixed long- and short-doc sources, so blocks cut their
-    candidates short)."""
+    parquet files must give equal states and mass (mixed long- and
+    short-doc sources, so blocks cut their candidates short). The
+    short-doc source keeps more than 64 candidates, up to the
+    FSST_SAMPLEMAX byte budget, not a row-count cap."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
     import ray.data as rd
 
+    from fsst_ray.kernel.fsst import FSST_SAMPLEMAX
     from fsst_ray.stages import trainer
 
     tokens = pq.read_table(ensure_tokens_parquet(SCALE))
@@ -293,8 +253,8 @@ def test_pass1_is_partition_independent(ray_session, tmp_path, monkeypatch):
     for i, part in enumerate(np.array_split(perm, 5)):
         pq.write_table(table.take(pa.array(part)), f"{path}/p{i}.parquet")
 
-    def run(ds, input_path=None):
-        states, mass, _ = trainer.train_states(ds, input_path)
+    def run(ds):
+        states, mass, _ = trainer.train_states(ds)
         return {s: (st["fsst"], st["ratio"]) for s, st in states.items()}, mass
 
     # the driver fold over 23 blocks keeps exactly the one-block prefix
@@ -306,12 +266,15 @@ def test_pass1_is_partition_independent(ray_session, tmp_path, monkeypatch):
         trainer.sample_and_mass_batch(table.slice(a, b - a)) for a, b in zip(cuts, cuts[1:])
     )
     assert samples(kept) == samples(one.filter(pc.invert(one["is_mass"])))
+    short = kept.filter(pc.equal(kept["source"], "short"))
+    short_bytes = pc.sum(pc.binary_length(short["chunk"])).as_py()
+    assert short.num_rows > 64 and short_bytes >= FSST_SAMPLEMAX
 
     want = run(rd.from_arrow(table))
     assert run(rd.from_arrow([table.slice(a, b - a) for a, b in zip(cuts, cuts[1:])])) == want
     assert run(rd.from_arrow([rev.slice(0, n // 3), rev.slice(n // 3)])) == want
-    monkeypatch.setattr(trainer, "PRUNED_PASS1_MIN_BYTES", 0)
-    assert run(None, str(path)) == want
+    parts = rd.read_parquet(str(path), file_extensions=["parquet"], override_num_blocks=5)
+    assert run(parts) == want
 
 
 # (states + mass, kept rows) digests of test_pass1_output_is_pinned
@@ -429,9 +392,9 @@ def test_encode_sort_keys_permutation_regression():
 
 
 def test_route_worker_death_retry_dedup(tokens_ds, tmp_path, monkeypatch):
-    """Kill one staging worker AFTER it wrote its fragments; Ray reruns
-    the task, the retry rewrites the same content-named fragments, and
-    the output must stay exact (no duplicated or lost rows)."""
+    """Kill one scan worker AFTER it staged its block; Ray reruns the
+    task, the retry rewrites the same content-named block file, and the
+    output must stay exact (no duplicated or lost rows)."""
     monkeypatch.setenv("FSST_FAULT_ROUTE_ONCE_DIR", str(tmp_path))
     out = str(tmp_path / "enc_fault")
     result = encode_dataset(
@@ -445,32 +408,31 @@ def test_route_worker_death_retry_dedup(tokens_ds, tmp_path, monkeypatch):
 
 
 def _staged_bucket(tmp_path, rows: pa.Table):
-    """Stage `rows` (one source, one bucket) with the map-side function;
-    returns (out_dir, part_key, fragment paths, routed row count)."""
-    from fsst_ray.pipelines.encode_job import stage_batch
+    """Stage `rows` (one source, one bucket) with the scan map, two rows
+    per block; returns (out_dir, the bucket's encode_bucket call)."""
+    from fsst_ray.pipelines.encode_job import _bucket_calls
+    from fsst_ray.stages.trainer import _fold, scan_batch
 
     out = tmp_path / "out"
-    staged = pa.concat_tables(
-        stage_batch(
-            rows.slice(lo, 2),
-            staging=str(out / "_staging"),
-            bucket_plan={"s": 1},
-            key_tag="",
-            done=[],
-        )
-        for lo in range(0, rows.num_rows, 2)
+    (out / "_staging").mkdir(parents=True)
+    index = []
+    _fold(
+        (
+            scan_batch(rows.slice(lo, 2), staging=str(out / "_staging"))
+            for lo in range(0, rows.num_rows, 2)
+        ),
+        index,
     )
-    assert set(staged["part_key"].to_pylist()) == {"s:00000"}
-    return str(out), "s:00000", staged["path"].to_pylist(), sum(staged["n_rows"].to_pylist())
+    (call,) = _bucket_calls(pa.concat_tables(index), {"s": 1}, "", set())
+    assert call["key"] == "s:00000" and len(call["slices"]) == len(index)
+    return str(out), call
 
 
 def test_encode_bucket_checks_routed_rows(tmp_path):
     """encode_bucket raises, writing no bucket file and no manifest
-    entry, when its fragments hold other than the routed row count or a
-    doc_id twice; given the right count it writes the bucket and unlinks
-    its fragments."""
-    import pathlib
-
+    entry, when a staged batch holds other than its index row's count
+    or the bucket holds a doc_id twice; given the right counts it
+    writes the bucket."""
     from fsst_ray.codecs.select import DEFAULT_CODECS
     from fsst_ray.pipelines.encode_job import encode_bucket
 
@@ -483,33 +445,49 @@ def test_encode_bucket_checks_routed_rows(tmp_path):
             "source": pa.array(["s"] * len(ids)),
         }
     )
-    out, key, frags, routed = _staged_bucket(tmp_path, rows)
-    assert routed == 5 and len(frags) == 3
-    kw = dict(key=key, out_dir=out, states={}, chunk_tokens=1 << 10, codecs=DEFAULT_CODECS)
-    with pytest.raises(RuntimeError, match="staged 5 rows, expected 6"):
-        encode_bucket(frags, expected=routed + 1, **kw)
+    out, call = _staged_bucket(tmp_path, rows)
+    assert [n for _, batches in call["slices"] for _, n in batches] == [2, 2, 1]
+    kw = dict(
+        key=call["key"], bucket=0, n_buckets=1, out_dir=out, states={},
+        chunk_tokens=1 << 10, codecs=DEFAULT_CODECS,
+    )
+    (path, [(batch, n)]), *rest = call["slices"]
+    with pytest.raises(RuntimeError, match=f"batch {batch} holds {n} rows, its index row {n + 1}"):
+        encode_bucket([(path, [(batch, n + 1)]), *rest], **kw)
     assert not list(mf.chunks_dir(out).glob("*")) and not mf.load_manifest(out)
 
     # the same row staged twice, as a retried task with different input
     # blocks would leave it
-    dup, _, dup_frags, _ = _staged_bucket(tmp_path / "dup", rows.take(pa.array([0, 1, 1, 2])))
+    dup, dup_call = _staged_bucket(tmp_path / "dup", rows.take(pa.array([0, 1, 1, 2])))
     with pytest.raises(ValueError, match="duplicate doc_id"):
-        encode_bucket(dup_frags, expected=4, **{**kw, "out_dir": dup})
+        encode_bucket(dup_call["slices"], **{**kw, "out_dir": dup})
     assert not list(mf.chunks_dir(dup).glob("*")) and not mf.load_manifest(dup)
 
-    res = encode_bucket(frags, expected=routed, **kw)
-    assert res["entry"]["rows"] == 5 and mf.load_manifest(out) == {key: res["entry"]}
+    res = encode_bucket(call["slices"], **kw)
+    assert res["entry"]["rows"] == 5 and mf.load_manifest(out) == {call["key"]: res["entry"]}
     assert (mf.chunks_dir(out) / res["entry"]["file"]).exists()
-    assert not any(pathlib.Path(f).exists() for f in frags)
     decoded = decode_dataset(out).take_all()
     assert sorted(r["doc_id"] for r in decoded) == rows["doc_id"].to_pylist()
+
+
+def test_encode_checks_rows_per_source(tokens_ds, tmp_path, monkeypatch):
+    """The driver counts each source's encoded rows against pass 1's
+    count and raises before the encode returns: here the first
+    bucket's call (source "constant", one bucket) is lost."""
+    from fsst_ray.pipelines import encode_job
+
+    real = encode_job._bucket_calls
+    monkeypatch.setattr(encode_job, "_bucket_calls", lambda *args: real(*args)[1:])
+    with pytest.raises(RuntimeError, match="source constant: its buckets hold 0 rows"):
+        encode_dataset(tokens_ds, str(tmp_path / "enc"), chunk_tokens=1 << 14, bucket_tokens=1 << 15)
 
 
 def test_chunk_bytes_independent_of_blocks(ray_session, tmp_path):
     """The same rows encoded as one block and as 23 shuffled blocks give
     byte-identical chunk files and equal manifest entries, also for a
     bucket of more than 1M tokens (rows are ordered by doc_id per
-    bucket, not by arrival)."""
+    bucket, not by arrival). The two-source encode stages exactly one
+    file per input block."""
     import ray.data as rd
 
     from fsst_ray.stages.serialize import tokens_from_values
@@ -533,6 +511,7 @@ def test_chunk_bytes_independent_of_blocks(ray_session, tmp_path):
     ):
         out = str(tmp_path / name)
         res = encode_dataset(rd.from_arrow(blocks), out, chunk_tokens=1 << 14, bucket_tokens=1 << 22)
+        assert res.metrics["pass2"]["staged_files"] == len(blocks)
         seen[name] = _chunk_bytes(out), mf.load_manifest(out)
     files, entries = seen["one"]
     assert max(e["tokens"] for e in entries.values()) > 1 << 20, entries
@@ -574,11 +553,12 @@ def test_pass2_executors_agree(ray_session, tmp_path, monkeypatch):
         for res in results:
             assert res.metrics["pass2"]["executor"] == name
             assert res.metrics["pass2"]["staged_bytes"] > 0
+            assert res.metrics["pass2"]["staged_files"] == 1
         assert not (pathlib.Path(out) / "_staging").exists()
         seen[name] = (
             _chunk_bytes(out),
             mf.load_manifest(out),
-            [r.metrics["pass2"]["staged_bytes"] for r in results],
+            [(r.metrics["pass2"]["staged_bytes"], r.metrics["pass2"]["staged_files"]) for r in results],
         )
     assert seen["driver"] == seen["ray"]
 
@@ -1118,12 +1098,11 @@ def test_append_reuses_states_trained_by_earlier_appends(ray_session, tmp_path):
 
 
 def test_append_resume_finishes_crashed_generation(tokens_ds, tmp_path):
-    """A crashed append (sidecar saved, buckets partial or absent)
-    resumed with resume=True finishes ITS generation rather than
-    starting a new one, and the union decodes bit-identical."""
+    """A crashed append (plan saved, buckets absent or partial) resumed
+    with resume=True finishes ITS generation rather than starting a new
+    one, and the union decodes bit-identical."""
     import json
 
-    import pyarrow.compute as pc
     import ray.data as rd
 
     from fsst_ray import append_dataset
@@ -1134,6 +1113,7 @@ def test_append_resume_finishes_crashed_generation(tokens_ds, tmp_path):
     idx = np.arange(full.num_rows)
     half_a = full.take(pa.array(idx[idx % 2 == 0]))
     half_b = full.take(pa.array(idx[idx % 2 == 1]))
+    union = pa.concat_tables([half_a, half_b])
 
     out = str(tmp_path / "enc_resume_app")
     encode_dataset(
@@ -1146,8 +1126,8 @@ def test_append_resume_finishes_crashed_generation(tokens_ds, tmp_path):
     from fsst_ray.stages.encoder import build_bucket_plan
     from fsst_ray.stages.trainer import train_states
 
-    base_states, _, _, config = mf.load_plan(out)
-    states, mass, _ = train_states(rd.from_arrow(half_b), base_states=base_states)
+    _, _, _, config = mf.load_plan(out)
+    states, mass, _ = train_states(rd.from_arrow(half_b), base_states=mf.corpus_states(out))
     bucket_plan = build_bucket_plan(mass, config["bucket_tokens"])
     mf.save_plan(
         out, states, bucket_plan, mass, config,
@@ -1155,14 +1135,80 @@ def test_append_resume_finishes_crashed_generation(tokens_ds, tmp_path):
         extra={"generation": 1, "completed": False},
     )
 
+    def decoded():
+        return pa.concat_tables(
+            pa.table(b) for b in decode_dataset(out).iter_batches(batch_format="pyarrow")
+        )
+
     res = append_dataset(rd.from_arrow(half_b), out, resume=True)
     assert res.metrics["generation"] == 1  # finished g1, did not open g2
-    sidecar = json.loads(mf.append_plan_path(out, 1).read_text())
-    assert sidecar["completed"] is True
+    assert res.metrics["pass1"] == {"route": "resumed", "sources_trained": []}
+    plan_file = mf.append_plan_path(out, 1)
+    assert json.loads(plan_file.read_text())["completed"] is True
+    assert _sorted_rows(decoded()) == _sorted_rows(union)
 
-    union = pa.concat_tables([half_a, half_b])
-    got = pa.concat_tables(
-        pa.table(b)
-        for b in decode_dataset(out).iter_batches(batch_format="pyarrow")
-    )
-    assert _sorted_rows(got) == _sorted_rows(union)
+    # a crash part-way through the bucket encodes: g1 incomplete, some
+    # of its bucket files lost
+    plan = json.loads(plan_file.read_text())
+    mf.write_json_atomic(plan_file, {**plan, "completed": False})
+    g1 = sorted(mf.chunks_dir(out).glob("*_g1-*.parquet"))
+    for f in g1[::2]:
+        f.unlink()
+    res = append_dataset(rd.from_arrow(half_b), out, resume=True)
+    assert res.metrics["generation"] == 1
+    assert sorted(mf.chunks_dir(out).glob("*_g1-*.parquet")) == g1
+    assert json.loads(plan_file.read_text())["completed"] is True
+    assert _sorted_rows(decoded()) == _sorted_rows(union)
+
+
+def _drop_routing(plan_file, **changes) -> None:
+    """Rewrite a saved plan as a version before the routing field wrote it."""
+    import json
+
+    plan = json.loads(plan_file.read_text())
+    del plan["routing"]
+    mf.write_json_atomic(plan_file, {**plan, **changes})
+
+
+def test_resume_refuses_plan_without_routing(ray_session, tmp_path):
+    """A partial encode or append generation whose plan lacks the
+    routing field had its done buckets cut by an earlier rule; resuming
+    it raises rather than mixing two routings."""
+    import json
+
+    import ray.data as rd
+
+    from fsst_ray import append_dataset
+
+    src = tokens_table(0.05)
+    idx = np.arange(src.num_rows)
+    base, extra = (src.take(pa.array(idx[idx % 2 == r])) for r in (0, 1))
+    out = str(tmp_path / "enc")
+    kw = dict(chunk_tokens=1 << 14, bucket_tokens=1 << 15)
+    encode_dataset(rd.from_arrow(base), out, **kw)
+    append_dataset(rd.from_arrow(extra), out)
+    for plan_file in (mf.plan_path(out), mf.append_plan_path(out, 1)):
+        assert json.loads(plan_file.read_text())["routing"] == "h64-mulshift-v1"
+
+    _drop_routing(mf.append_plan_path(out, 1), completed=False)
+    with pytest.raises(ValueError, match="an earlier rule"):
+        append_dataset(rd.from_arrow(extra), out, resume=True)
+
+    fresh = str(tmp_path / "fresh")
+    encode_dataset(rd.from_arrow(base), fresh, **kw)
+    _drop_routing(mf.plan_path(fresh))
+    with pytest.raises(ValueError, match="an earlier rule"):
+        encode_dataset(rd.from_arrow(base), fresh, resume=True, **kw)
+
+
+def test_resume_refuses_changed_input(ray_session, tmp_path):
+    """A resume re-scans its input and raises when the mass differs from
+    the saved plan's, instead of mixing old and new rows."""
+    import ray.data as rd
+
+    src = tokens_table(0.05)
+    out = str(tmp_path / "enc")
+    kw = dict(chunk_tokens=1 << 14, bucket_tokens=1 << 15)
+    encode_dataset(rd.from_arrow(src), out, **kw)
+    with pytest.raises(ValueError, match="resume input differs"):
+        encode_dataset(rd.from_arrow(src.slice(1)), out, resume=True, **kw)

@@ -15,9 +15,9 @@ disjoint doc_id ranges per leg — the pipeline streams N_LEGS x the
 bytes without needing N_LEGS x the disk. Every leg is
 re-read from parquet, re-staged through the exchange and re-encoded
 (identical text content across legs cannot be exploited anywhere:
-nothing dedups), so the streamed work is genuine. Pass 1 runs the
-full-scan path (no pruned input_path shortcut), so the input bytes are
-streamed twice: once for training mass/samples, once for encode.
+nothing dedups), so the streamed work is genuine. The input bytes are
+streamed once: pass 1's scan samples, counts mass and stages every
+block, and pass 2 reads the staged block files.
 
 Usage:  python tools/bigrun.py            # one JSON line
 Env:    FSST_BIGRUN_SCALE (default 2400, ~4.2B tokens/leg)

@@ -27,8 +27,8 @@ each run on a fresh copy of the corpus under --work:
 
 - `append_dataset` of token rows at 0.1, 0.3, 1, 3, 10 and 30 times
   --append-scale under a fresh id prefix; the size is the staged
-  fragment bytes (`metrics["pass2"]["staged_bytes"]`). The map side and
-  pass 1 run the same way on both sides, so the difference is the
+  bytes (`metrics["pass2"]["staged_bytes"]`). Pass 1's scan, which
+  stages the input, runs the same way on both sides, so the difference is the
   reduce side; its seconds (`pass2_encode`) are printed beside the
   append's.
 
